@@ -30,12 +30,12 @@ Report RunMode(QueueMode mode, const char* label) {
   config.scale = DefaultScale();
   config.queue_mode = mode;
   RunOutcome run = RunTpcc(config);
-  DatabaseStats stats = run.db->GetStats();
+  const obs::MetricsRegistry& m = *run.db->metrics_registry();
   Report r;
   r.tpm = run.tpm;
-  r.rows_packed = stats.pack.rows_packed;
-  r.rows_skipped = stats.pack.rows_skipped_hot;
-  r.pack_txns = stats.pack.pack_transactions;
+  r.rows_packed = m.Value("pack.rows_packed");
+  r.rows_skipped = m.Value("pack.rows_skipped_hot");
+  r.pack_txns = m.Value("pack.transactions");
   r.hit_rate = run.HitRate();
   r.hot_table_rows_packed = 0;
   for (const TableReport& t : run.table_reports) {

@@ -35,10 +35,10 @@ int main() {
     // the initial fill burst (single-core runs schedule pack less often).
     on.pack_cycle_pct = 0.10;
     RunOutcome run = RunTpcc(on);
-    DatabaseStats stats = run.db->GetStats();
-    points.push_back(Point{pct, run.tpm,
-                           static_cast<double>(stats.pack.rows_packed),
-                           static_cast<double>(stats.pack.rows_skipped_hot)});
+    const obs::MetricsRegistry& m = *run.db->metrics_registry();
+    points.push_back(
+        Point{pct, run.tpm, static_cast<double>(m.Value("pack.rows_packed")),
+              static_cast<double>(m.Value("pack.rows_skipped_hot"))});
   }
 
   double max_tpm = 0, max_packed = 0, max_skipped = 0;

@@ -36,7 +36,8 @@ int main() {
   // of commits that grow utilization by the steady percentage of the
   // *reference* 12 MiB cache, derived from this run's observed growth rate.
   const double bytes_per_txn =
-      static_cast<double>(db->GetStats().imrs_cache.in_use_bytes) /
+      static_cast<double>(
+          db->metrics_registry()->Value("imrs_cache.in_use_bytes")) /
       static_cast<double>(run.driver.committed);
   const uint64_t tau = static_cast<uint64_t>(
       0.70 * static_cast<double>(12ull << 20) / bytes_per_txn);

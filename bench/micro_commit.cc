@@ -111,27 +111,35 @@ CellResult RunCell(const std::string& data_dir, DurabilityPolicy policy,
   const double wall_s =
       static_cast<double>(timer.ElapsedMicros()) / 1e6;
 
-  DatabaseStats stats = db->GetStats();
+  const obs::MetricsRegistry& m = *db->metrics_registry();
   CellResult r;
   r.policy = PolicyName(policy);
   r.workers = workers;
   r.commits = committed.load();
   r.wall_s = wall_s;
   r.tps = wall_s > 0 ? static_cast<double>(r.commits) / wall_s : 0.0;
-  r.syncs = stats.syslogs.syncs + stats.sysimrslogs.syncs;
-  r.syncs_elided =
-      stats.syslogs.syncs_elided + stats.sysimrslogs.syncs_elided;
+  r.syncs = m.Value("wal.syncs");  // both logs
+  r.syncs_elided = m.Value("wal.syncs_elided");
   r.fsyncs_per_commit =
       r.commits > 0
           ? static_cast<double>(r.syncs) / static_cast<double>(r.commits)
           : 0.0;
   // The insert workload logs through sysimrslogs; that committer's shape is
   // the interesting one.
-  r.groups_per_batch = stats.sysimrslogs_commit.GroupsPerBatch();
-  r.avg_batch_kib = stats.sysimrslogs_commit.AvgBatchBytes() / 1024.0;
-  r.p50_us = stats.sysimrslogs_commit.commit_latency.PercentileUs(0.50);
-  r.p95_us = stats.sysimrslogs_commit.commit_latency.PercentileUs(0.95);
-  r.p99_us = stats.sysimrslogs_commit.commit_latency.PercentileUs(0.99);
+  const obs::MetricLabels imrs_log{.subsystem = "sysimrslogs"};
+  const int64_t batches = m.Value("commit.batches", imrs_log);
+  auto per_batch = [batches](int64_t v) {
+    return batches > 0
+               ? static_cast<double>(v) / static_cast<double>(batches)
+               : 0.0;
+  };
+  r.groups_per_batch = per_batch(m.Value("commit.groups", imrs_log));
+  r.avg_batch_kib = per_batch(m.Value("commit.batch_bytes", imrs_log)) / 1024.0;
+  obs::MetricSample latency;
+  (void)m.Lookup("commit.latency_us", imrs_log, &latency);  // absent: empty
+  r.p50_us = latency.hist.PercentileUs(0.50);
+  r.p95_us = latency.hist.PercentileUs(0.95);
+  r.p99_us = latency.hist.PercentileUs(0.99);
   r.metrics_json = db->DumpMetricsJson();
 
   db.reset();

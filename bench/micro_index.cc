@@ -43,6 +43,7 @@
 #include "common/random.h"
 #include "harness/experiment.h"
 #include "index/btree.h"
+#include "obs/metrics_registry.h"
 #include "page/buffer_cache.h"
 #include "page/device.h"
 
@@ -93,7 +94,15 @@ CellResult RunIndexCell(const CellParams& p) {
     }
   }
 
-  const BTreeStats before = tree.GetStats();
+  obs::MetricsRegistry metrics;
+  if (!tree.RegisterMetrics(&metrics, {}).ok()) {
+    fprintf(stderr, "micro_index: tree metrics failed\n");
+    exit(2);
+  }
+  const int64_t restarts_before = metrics.Value("index.olc_restarts");
+  const int64_t pessimistic_before =
+      metrics.Value("index.pessimistic_descents");
+  const int64_t splits_before = metrics.Value("index.splits");
   std::atomic<bool> go{false};
   std::atomic<int64_t> total_ops{0};
   std::vector<std::thread> threads;
@@ -138,16 +147,16 @@ CellResult RunIndexCell(const CellParams& p) {
   for (std::thread& th : threads) th.join();
   const double wall_s = static_cast<double>(timer.ElapsedMicros()) / 1e6;
 
-  const BTreeStats after = tree.GetStats();
   CellResult r;
   r.mode = p.mode;
   r.threads = p.threads;
   r.ops = total_ops.load();
   r.wall_s = wall_s;
   r.tps = wall_s > 0 ? static_cast<double>(r.ops) / wall_s : 0.0;
-  r.olc_restarts = after.olc_restarts - before.olc_restarts;
-  r.pessimistic = after.pessimistic_descents - before.pessimistic_descents;
-  r.splits = after.splits - before.splits;
+  r.olc_restarts = metrics.Value("index.olc_restarts") - restarts_before;
+  r.pessimistic =
+      metrics.Value("index.pessimistic_descents") - pessimistic_before;
+  r.splits = metrics.Value("index.splits") - splits_before;
   return r;
 }
 

@@ -123,26 +123,28 @@ CellResult RunCell(const CellParams& p) {
 
   // Timed drain: tick until pack stops advancing (below the steady line or
   // queues empty). The iteration cap is a hang guard, not a budget.
-  const DatabaseStats before = db->GetStats();
+  const obs::MetricsRegistry& m = *db->metrics_registry();
+  const int64_t rows_before = m.Value("pack.rows_packed");
+  const int64_t bytes_before = m.Value("pack.bytes_packed");
+  const int64_t cycles_before = m.Value("pack.cycles");
   WallTimer timer;
   int64_t last_rows = -1;
   int stalled = 0;
   for (int iter = 0; iter < 10000 && stalled < 3; ++iter) {
     db->RunIlmTickOnce();
-    const int64_t rows = db->GetStats().pack.rows_packed;
+    const int64_t rows = m.Value("pack.rows_packed");
     stalled = rows == last_rows ? stalled + 1 : 0;
     last_rows = rows;
   }
   const double wall_s = static_cast<double>(timer.ElapsedMicros()) / 1e6;
 
-  const DatabaseStats stats = db->GetStats();
   CellResult r;
   r.workers = p.workers;
   r.imrs_mb = p.imrs_mb;
   r.rows_loaded = loaded;
-  r.rows_packed = stats.pack.rows_packed - before.pack.rows_packed;
-  r.bytes_packed = stats.pack.bytes_packed - before.pack.bytes_packed;
-  r.cycles = stats.pack.cycles - before.pack.cycles;
+  r.rows_packed = m.Value("pack.rows_packed") - rows_before;
+  r.bytes_packed = m.Value("pack.bytes_packed") - bytes_before;
+  r.cycles = m.Value("pack.cycles") - cycles_before;
   r.wall_s = wall_s;
   r.mb_per_s = wall_s > 0
                    ? static_cast<double>(r.bytes_packed) / (1 << 20) / wall_s

@@ -93,10 +93,10 @@ int main() {
       s = db->Commit(txn.get());
     }
   }
-  DatabaseStats mid = db->GetStats();
+  const obs::MetricsRegistry& metrics = *db->metrics_registry();
   printf("  IMRS serves the hot period: %lld IMRS ops vs %lld page ops\n",
-         static_cast<long long>(mid.imrs_operations),
-         static_cast<long long>(mid.page_operations));
+         static_cast<long long>(metrics.Value("engine.imrs_ops")),
+         static_cast<long long>(metrics.Value("engine.page_ops")));
 
   printf("\nPhase 3: business moves on — a new burst arrives and the old\n"
          "orders cool off; Pack relocates them (paper Sec. VI)\n");
@@ -115,12 +115,11 @@ int main() {
   PrintResidency(db.get(), orders, 0, kBatch);
   PrintResidency(db.get(), orders, kBatch, 2 * kBatch);
 
-  DatabaseStats stats = db->GetStats();
   printf("\npack moved %lld rows (%lld KiB) in %lld pack transactions;\n"
          "IMRS utilization now %.0f%% of its %lld KiB budget\n",
-         static_cast<long long>(stats.pack.rows_packed),
-         static_cast<long long>(stats.pack.bytes_packed / 1024),
-         static_cast<long long>(stats.pack.pack_transactions),
+         static_cast<long long>(metrics.Value("pack.rows_packed")),
+         static_cast<long long>(metrics.Value("pack.bytes_packed") / 1024),
+         static_cast<long long>(metrics.Value("pack.transactions")),
          100.0 * db->imrs_allocator()->Utilization(),
          static_cast<long long>(options.imrs_cache_bytes / 1024));
 

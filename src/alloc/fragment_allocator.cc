@@ -372,19 +372,6 @@ Status FragmentAllocator::CheckConsistency() const {
   return Status::OK();
 }
 
-FragmentAllocatorStats FragmentAllocator::GetStats() const {
-  FragmentAllocatorStats s;
-  s.capacity_bytes = static_cast<int64_t>(capacity_);
-  s.in_use_bytes = in_use_bytes_.load(std::memory_order_relaxed);
-  s.segment_bytes = segment_total_.load(std::memory_order_relaxed);
-  s.alloc_calls = alloc_calls_.Load();
-  s.free_calls = free_calls_.Load();
-  s.split_count = split_count_.Load();
-  s.coalesce_count = coalesce_count_.Load();
-  s.failed_allocs = failed_allocs_.Load();
-  return s;
-}
-
 Status FragmentAllocator::RegisterMetrics(obs::MetricsRegistry* registry,
                                           const std::string& subsystem) const {
   const obs::MetricLabels l{subsystem, "", "", ""};

@@ -18,18 +18,6 @@ namespace obs {
 class MetricsRegistry;
 }  // namespace obs
 
-/// Statistics snapshot of a FragmentAllocator.
-struct FragmentAllocatorStats {
-  int64_t capacity_bytes = 0;       ///< Configured IMRS cache size.
-  int64_t in_use_bytes = 0;         ///< Bytes handed out to live fragments.
-  int64_t segment_bytes = 0;        ///< Bytes reserved from the OS.
-  int64_t alloc_calls = 0;
-  int64_t free_calls = 0;
-  int64_t split_count = 0;          ///< Free blocks split to satisfy a request.
-  int64_t coalesce_count = 0;       ///< Adjacent free blocks merged.
-  int64_t failed_allocs = 0;        ///< Requests rejected for capacity.
-};
-
 /// The IMRS fragment memory manager (paper Sec. II).
 ///
 /// A size-class segregated, boundary-tag allocator optimized for best-fit,
@@ -77,10 +65,12 @@ class FragmentAllocator {
     return static_cast<double>(InUseBytes()) / static_cast<double>(capacity_);
   }
 
-  FragmentAllocatorStats GetStats() const;
-
   /// Registers allocator counters and capacity/in-use gauges into the
-  /// unified metrics registry under `imrs_cache.*`.
+  /// unified metrics registry under `imrs_cache.*`: capacity_bytes,
+  /// in_use_bytes (handed out to live fragments), segment_bytes (reserved
+  /// from the OS), alloc_calls, free_calls, splits (free blocks split to
+  /// serve a request), coalesces (adjacent free blocks merged) and
+  /// failed_allocs (requests rejected for capacity).
   Status RegisterMetrics(obs::MetricsRegistry* registry,
                          const std::string& subsystem) const;
 

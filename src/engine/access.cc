@@ -93,7 +93,7 @@ Status Database::InsertToImrs(Transaction* txn, Table* table,
     txn->AddUndo([this, table, pstate, row, bytes, pk_copy] {
       rid_map_.Erase(row->rid);
       HashIndex<ImrsRow*>* h = table->hash_index();
-      if (h != nullptr) h->Erase(Slice(pk_copy));
+      if (h != nullptr) h->EraseIf(Slice(pk_copy), row);
       pstate->metrics.imrs_bytes.Sub(bytes);
       pstate->metrics.imrs_rows.Sub(1);
       const uint64_t now = Now();
@@ -510,7 +510,9 @@ Status Database::Delete(Transaction* txn, Table* table, Slice pk) {
     const std::string pk_copy = pk.ToString();
     txn->AddCommitAction([this, row, version, hash, pk_copy](uint64_t cts) {
       version->commit_ts.store(cts, std::memory_order_release);
-      if (hash != nullptr) hash->Erase(Slice(pk_copy));
+      // A newer row may already own the key (delete -> reinsert): only
+      // drop the mapping if it is still this row's.
+      if (hash != nullptr) hash->EraseIf(Slice(pk_copy), row);
       gc_->EnqueueCommitted(row, /*newly_created=*/false);
     });
 

@@ -29,13 +29,9 @@ Status Database::Init() {
   // File id 0 is reserved (null RID); occupy the slot.
   devices_.push_back(nullptr);
 
-  // Effective durability policy: the legacy sync_commits switch maps onto
-  // kSyncPerCommit; in-memory storage is volatile, so syncing is pointless.
+  // Effective durability policy: in-memory storage is volatile, so syncing
+  // is pointless.
   DurabilityOptions durability = options_.durability;
-  if (durability.policy == DurabilityPolicy::kNoSync &&
-      options_.sync_commits) {
-    durability.policy = DurabilityPolicy::kSyncPerCommit;
-  }
   if (options_.in_memory) {
     durability.policy = DurabilityPolicy::kNoSync;
   }
@@ -256,8 +252,13 @@ Result<Table*> Database::CreateTable(TableOptions options) {
   table->primary_ =
       std::make_unique<BTree>(*pk_file, &buffer_cache_, /*unique=*/true);
   BTRIM_RETURN_IF_ERROR(table->primary_->Create());
-  BTRIM_RETURN_IF_ERROR(table->primary_->RegisterMetrics(
-      &metrics_registry_, obs::MetricLabels{"index", options.name, "pk", ""}));
+  const obs::MetricLabels pk_labels{"index", options.name, "pk", ""};
+  BTRIM_RETURN_IF_ERROR(
+      table->primary_->RegisterMetrics(&metrics_registry_, pk_labels));
+  if (table->hash_index() != nullptr) {
+    BTRIM_RETURN_IF_ERROR(
+        table->hash_index()->RegisterMetrics(&metrics_registry_, pk_labels));
+  }
   gc_->AddReclaimHook(
       [tree = table->primary_.get()] { return tree->DrainRetired(); });
 
@@ -392,33 +393,32 @@ void Database::StartBackground() {
   bool expected = false;
   if (!background_running_.compare_exchange_strong(expected, true)) return;
 
-  for (int i = 0; i < options_.pack_threads; ++i) {
-    background_threads_.emplace_back([this] {
-      while (background_running_.load(std::memory_order_relaxed)) {
-        {
-          RwSpinLockReadGuard quiesce(background_rw_);
-          MutexGuard tick(ilm_tick_mu_);
-          ilm_->BackgroundTick(Now());
-        }
-        ParanoidValidate();
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(options_.background_interval_us));
+  // One thread each: a second tick or GC thread would only serialize on
+  // ilm_tick_mu_ / gc_pass_mu_; pack_workers sizes the parallelism within
+  // a cycle or pass.
+  background_threads_.emplace_back([this] {
+    while (background_running_.load(std::memory_order_relaxed)) {
+      {
+        RwSpinLockReadGuard quiesce(background_rw_);
+        MutexGuard tick(ilm_tick_mu_);
+        ilm_->BackgroundTick(Now());
       }
-    });
-  }
-  for (int i = 0; i < options_.gc_threads; ++i) {
-    background_threads_.emplace_back([this] {
-      while (background_running_.load(std::memory_order_relaxed)) {
-        {
-          RwSpinLockReadGuard quiesce(background_rw_);
-          MutexGuard pass(gc_pass_mu_);
-          gc_->RunOnce(txn_manager_.OldestActiveSnapshot(), Now());
-        }
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(options_.background_interval_us));
+      ParanoidValidate();
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(options_.background_interval_us));
+    }
+  });
+  background_threads_.emplace_back([this] {
+    while (background_running_.load(std::memory_order_relaxed)) {
+      {
+        RwSpinLockReadGuard quiesce(background_rw_);
+        MutexGuard pass(gc_pass_mu_);
+        gc_->RunOnce(txn_manager_.OldestActiveSnapshot(), Now());
       }
-    });
-  }
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(options_.background_interval_us));
+    }
+  });
 }
 
 void Database::StopBackground() {
@@ -671,8 +671,8 @@ PackBatchOutcome Database::PackBatch(PartitionState* partition,
     row->SetFlag(kRowPacked);
     rid_map_.Erase(row->rid);
     if (table->hash_index() != nullptr) {
-      table->hash_index()->Erase(
-          table->pk_encoder().KeyForRecord(Slice(st.payload)));
+      table->hash_index()->EraseIf(
+          table->pk_encoder().KeyForRecord(Slice(st.payload)), row);
     }
 
     const int64_t footprint = ImrsStore::RowFootprint(row);
@@ -709,7 +709,7 @@ PackBatchOutcome Database::PackBatch(PartitionState* partition,
 }
 
 Result<int64_t> Database::CompactImrsLog() {
-  if (txn_manager_.GetStats().active != 0) {
+  if (txn_manager_.ActiveCount() != 0) {
     return Status::Busy("IMRS log compaction requires quiescence");
   }
   // Serialize one committed group that recreates the current IMRS exactly:
@@ -828,7 +828,7 @@ bool Database::PurgePageStoreHome(ImrsRow* row) {
     const std::string pk = table->pk_encoder().KeyForRecord(Slice(payload));
     RemoveIndexEntries(table, Slice(payload), Slice(pk), row->rid);
     if (table->hash_index() != nullptr) {
-      table->hash_index()->Erase(pk);
+      table->hash_index()->EraseIf(pk, row);
     }
   }
 
@@ -891,40 +891,10 @@ bool Database::PurgePageStoreHome(ImrsRow* row) {
 
 DatabaseStats Database::GetStats() const {
   DatabaseStats s;
-  s.txns = txn_manager_.GetStats();
-  s.buffer_cache = buffer_cache_.GetStats();
-  s.imrs_cache = imrs_allocator_.GetStats();
-  s.locks = lock_manager_.GetStats();
-  {
-    RwSpinLockReadGuard guard(catalog_mu_);
-    for (const auto& t : tables_) {
-      auto add = [&s](const BTreeStats& b) {
-        s.index.inserts += b.inserts;
-        s.index.deletes += b.deletes;
-        s.index.searches += b.searches;
-        s.index.scans += b.scans;
-        s.index.splits += b.splits;
-        s.index.height = std::max(s.index.height, b.height);
-        s.index.pages_allocated += b.pages_allocated;
-        s.index.olc_restarts += b.olc_restarts;
-        s.index.pessimistic_descents += b.pessimistic_descents;
-        s.index.pages_retired += b.pages_retired;
-        s.index.pages_reclaimed += b.pages_reclaimed;
-        s.index.pages_reused += b.pages_reused;
-      };
-      add(t->primary_->GetStats());
-      for (const auto& sec : t->secondaries_) add(sec.tree->GetStats());
-    }
-  }
-  s.gc = gc_->GetStats();
-  s.pack = ilm_->pack()->GetStats();
-  s.rid_map = rid_map_.GetStats();
-  s.syslogs = syslogs_->GetStats();
-  s.sysimrslogs = sysimrslogs_->GetStats();
-  s.syslogs_commit = syslogs_committer_->GetStats();
-  s.sysimrslogs_commit = sysimrslogs_committer_->GetStats();
-  s.imrs_operations = imrs_ops_.Load();
-  s.page_operations = page_ops_.Load();
+  s.pack.cycles = metrics_registry_.Value("pack.cycles");
+  s.pack.rows_packed = metrics_registry_.Value("pack.rows_packed");
+  s.imrs_cache.in_use_bytes =
+      metrics_registry_.Value("imrs_cache.in_use_bytes");
   return s;
 }
 

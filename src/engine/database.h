@@ -48,11 +48,6 @@ struct DatabaseOptions {
   bool in_memory = true;
   std::string data_dir;
 
-  /// fsync both logs on commit (file-backed mode only). Legacy switch kept
-  /// for existing callers: when set and `durability.policy` is kNoSync, the
-  /// effective policy becomes kSyncPerCommit.
-  bool sync_commits = false;
-
   /// Commit durability policy and group-commit tuning (file-backed mode
   /// only; in-memory databases are volatile by construction, so the
   /// effective policy there is always kNoSync).
@@ -61,9 +56,8 @@ struct DatabaseOptions {
   /// Artificial device latency per page I/O (simulated disk; 0 = off).
   uint32_t device_latency_micros = 0;
 
-  /// Background threads.
-  int pack_threads = 1;
-  int gc_threads = 1;
+  /// Pause between rounds of the two background threads StartBackground
+  /// runs (one ILM tick / pack thread, one GC thread).
   int64_t background_interval_us = 500;
 
   /// Size of the shared background worker pool that pack cycles fan their
@@ -171,22 +165,20 @@ struct ValidateReport {
   bool gauges_checked = false;
 };
 
-/// Aggregate engine statistics snapshot (feeds the experiment harness).
+/// The three counters the repository benchmark (perfbench/) polls while it
+/// sets up its workloads. Every engine counter is read through
+/// metrics_registry()->Value(); this struct stays only because perfbench
+/// calls Database::GetStats(), and its sources change only together with
+/// the benchmark definition. The field paths (`stats.pack.rows_packed`)
+/// are the ones those call sites use.
 struct DatabaseStats {
-  TransactionManagerStats txns;
-  BufferCacheStats buffer_cache;
-  FragmentAllocatorStats imrs_cache;
-  LockManagerStats locks;
-  BTreeStats index;  ///< Aggregated over every table's B+Trees.
-  GcStats gc;
-  PackStats pack;
-  RidMapStats rid_map;
-  LogStats syslogs;
-  LogStats sysimrslogs;
-  GroupCommitStats syslogs_commit;
-  GroupCommitStats sysimrslogs_commit;
-  int64_t imrs_operations = 0;  ///< ISUD ops served by the IMRS
-  int64_t page_operations = 0;  ///< ISUD ops served by the page store
+  struct {
+    int64_t cycles = 0;       ///< pack.cycles
+    int64_t rows_packed = 0;  ///< pack.rows_packed
+  } pack;
+  struct {
+    int64_t in_use_bytes = 0;  ///< imrs_cache.in_use_bytes
+  } imrs_cache;
 };
 
 /// The BTrim hybrid storage engine (paper Sec. II).
@@ -334,6 +326,8 @@ class Database : public PackClient {
 
   /// --- introspection ---------------------------------------------------------
 
+  /// The benchmark's set-up poll (see DatabaseStats); read anything else
+  /// through metrics_registry()->Value().
   DatabaseStats GetStats() const;
 
   /// The unified metrics registry every subsystem of this database is

@@ -30,85 +30,111 @@ double Pct(int64_t part, int64_t whole) {
 }
 
 void AppendCommitterLine(std::string* out, const char* label,
-                         const GroupCommitStats& gc) {
-  if (gc.groups_committed == 0) return;  // committer never used
+                         const obs::MetricsRegistry& r,
+                         const std::string& log) {
+  const obs::MetricLabels l{.subsystem = log};
+  const int64_t groups = r.Value("commit.groups", l);
+  if (groups == 0) return;  // committer never used
+  const int64_t batches = r.Value("commit.batches", l);
+  const int64_t batch_bytes = r.Value("commit.batch_bytes", l);
+  obs::MetricSample latency;
+  (void)r.Lookup("commit.latency_us", l, &latency);  // absent: empty
+  auto per_batch = [batches](int64_t v) {
+    return batches > 0
+               ? static_cast<double>(v) / static_cast<double>(batches)
+               : 0.0;
+  };
   Appendf(out,
           "%s: %" PRId64 " groups in %" PRId64
           " batches (%.1f/batch, %.1f KiB avg, max %" PRId64
           "), latency p50/p95/p99 %" PRId64 "/%" PRId64 "/%" PRId64 " us\n",
-          label, gc.groups_committed, gc.batches, gc.GroupsPerBatch(),
-          gc.AvgBatchBytes() / 1024.0, gc.max_batch_groups,
-          gc.commit_latency.PercentileUs(0.50),
-          gc.commit_latency.PercentileUs(0.95),
-          gc.commit_latency.PercentileUs(0.99));
+          label, groups, batches, per_batch(groups),
+          per_batch(batch_bytes) / 1024.0,
+          r.Value("commit.max_batch_groups", l),
+          latency.hist.PercentileUs(0.50), latency.hist.PercentileUs(0.95),
+          latency.hist.PercentileUs(0.99));
 }
 
 }  // namespace
 
-std::string FormatDatabaseStats(const DatabaseStats& s) {
+std::string FormatDatabaseStats(const obs::MetricsRegistry& r) {
+  // Wildcard labels: index.* sums every table's trees, the rest are
+  // registered once per database.
+  auto v = [&r](const char* name) { return r.Value(name); };
+  auto log = [&r](const char* name, const char* subsystem) {
+    return r.Value(name, {.subsystem = subsystem});
+  };
+  const int64_t imrs_ops = v("engine.imrs_ops");
+  const int64_t page_ops = v("engine.page_ops");
+  const int64_t in_use = v("imrs_cache.in_use_bytes");
+  const int64_t capacity = v("imrs_cache.capacity_bytes");
+  const int64_t fixes = v("buffer_cache.fixes");
+
   std::string out;
   Appendf(&out, "transactions : %" PRId64 " committed, %" PRId64
                 " aborted, %" PRId64 " active\n",
-          s.txns.committed, s.txns.aborted, s.txns.active);
+          v("txn.committed"), v("txn.aborted"), v("txn.active"));
   Appendf(&out,
           "op routing   : %" PRId64 " IMRS / %" PRId64
           " page-store (hit rate %.1f%%)\n",
-          s.imrs_operations, s.page_operations,
-          Pct(s.imrs_operations, s.imrs_operations + s.page_operations));
+          imrs_ops, page_ops, Pct(imrs_ops, imrs_ops + page_ops));
   Appendf(&out,
           "IMRS cache   : %" PRId64 " / %" PRId64 " KiB in use (%.1f%%), "
           "%" PRId64 " rows mapped\n",
-          s.imrs_cache.in_use_bytes / 1024, s.imrs_cache.capacity_bytes / 1024,
-          Pct(s.imrs_cache.in_use_bytes, s.imrs_cache.capacity_bytes),
-          s.rid_map.entries);
+          in_use / 1024, capacity / 1024, Pct(in_use, capacity),
+          v("rid_map.entries"));
   Appendf(&out,
           "buffer cache : %" PRId64 " fixes, %.1f%% hits, %" PRId64
           " evictions, %" PRId64 " latch waits\n",
-          s.buffer_cache.fixes,
-          Pct(s.buffer_cache.hits, s.buffer_cache.fixes),
-          s.buffer_cache.evictions, s.buffer_cache.latch_contention);
+          fixes, Pct(v("buffer_cache.hits"), fixes),
+          v("buffer_cache.evictions"), v("buffer_cache.latch_contention"));
   Appendf(&out,
           "locks        : %" PRId64 " acquisitions (%" PRId64
           " fast), %" PRId64 " waits, %" PRId64 " timeouts, %" PRId64
           " cond. denials\n",
-          s.locks.acquisitions, s.locks.fast_grants, s.locks.waits,
-          s.locks.timeouts, s.locks.try_failures);
+          v("locks.acquisitions"), v("locks.fast_grants"), v("locks.waits"),
+          v("locks.timeouts"), v("locks.try_failures"));
   Appendf(&out,
           "index        : %" PRId64 " searches, %" PRId64
           " inserts, %" PRId64 " splits, %" PRId64 " OLC restarts, %" PRId64
           " pessimistic, %" PRId64 "/%" PRId64 " pages retired/reclaimed\n",
-          s.index.searches, s.index.inserts, s.index.splits,
-          s.index.olc_restarts, s.index.pessimistic_descents,
-          s.index.pages_retired, s.index.pages_reclaimed);
+          v("index.searches"), v("index.inserts"), v("index.splits"),
+          v("index.olc_restarts"), v("index.pessimistic_descents"),
+          v("index.pages_retired"), v("index.pages_reclaimed"));
   Appendf(&out,
           "GC           : %" PRId64 " versions freed (%" PRId64
           " KiB), %" PRId64 " rows purged, %" PRId64 " pending\n",
-          s.gc.versions_freed, s.gc.bytes_freed / 1024, s.gc.rows_purged,
-          s.gc.work_pending);
+          v("gc.versions_freed"), v("gc.bytes_freed") / 1024,
+          v("gc.rows_purged"), v("gc.work_pending"));
   Appendf(&out,
           "Pack         : %" PRId64 " cycles, %" PRId64 " rows (%" PRId64
           " KiB) packed, %" PRId64 " skipped hot, %" PRId64
           " pack txns, %" PRId64 " bypasses\n",
-          s.pack.cycles, s.pack.rows_packed, s.pack.bytes_packed / 1024,
-          s.pack.rows_skipped_hot, s.pack.pack_transactions,
-          s.pack.bypass_activations);
+          v("pack.cycles"), v("pack.rows_packed"),
+          v("pack.bytes_packed") / 1024, v("pack.rows_skipped_hot"),
+          v("pack.transactions"), v("pack.bypass_activations"));
   Appendf(&out,
           "syslogs      : %" PRId64 " records, %" PRId64 " KiB, %" PRId64
           " syncs (%" PRId64 " elided), %" PRId64 "/%" PRId64
           " failed appends/syncs\n",
-          s.syslogs.records_appended, s.syslogs.bytes_appended / 1024,
-          s.syslogs.syncs, s.syslogs.syncs_elided, s.syslogs.append_failures,
-          s.syslogs.sync_failures);
+          log("wal.records_appended", "syslogs"),
+          log("wal.bytes_appended", "syslogs") / 1024,
+          log("wal.syncs", "syslogs"), log("wal.syncs_elided", "syslogs"),
+          log("wal.append_failures", "syslogs"),
+          log("wal.sync_failures", "syslogs"));
   Appendf(&out,
           "sysimrslogs  : %" PRId64 " records in %" PRId64
           " groups, %" PRId64 " KiB, %" PRId64 " syncs (%" PRId64
           " elided), %" PRId64 "/%" PRId64 " failed appends/syncs\n",
-          s.sysimrslogs.records_appended, s.sysimrslogs.groups_appended,
-          s.sysimrslogs.bytes_appended / 1024, s.sysimrslogs.syncs,
-          s.sysimrslogs.syncs_elided, s.sysimrslogs.append_failures,
-          s.sysimrslogs.sync_failures);
-  AppendCommitterLine(&out, "commit(sys)  ", s.syslogs_commit);
-  AppendCommitterLine(&out, "commit(imrs) ", s.sysimrslogs_commit);
+          log("wal.records_appended", "sysimrslogs"),
+          log("wal.groups_appended", "sysimrslogs"),
+          log("wal.bytes_appended", "sysimrslogs") / 1024,
+          log("wal.syncs", "sysimrslogs"),
+          log("wal.syncs_elided", "sysimrslogs"),
+          log("wal.append_failures", "sysimrslogs"),
+          log("wal.sync_failures", "sysimrslogs"));
+  AppendCommitterLine(&out, "commit(sys)  ", r, "syslogs");
+  AppendCommitterLine(&out, "commit(imrs) ", r, "sysimrslogs");
   return out;
 }
 

@@ -42,18 +42,6 @@ struct PackCycleResult {
   int64_t partitions_packed = 0;
 };
 
-/// Cumulative pack counters (Figs. 5, 7, 10).
-struct PackStats {
-  int64_t cycles = 0;
-  int64_t bytes_packed = 0;
-  int64_t rows_packed = 0;
-  int64_t rows_skipped_hot = 0;
-  int64_t pack_transactions = 0;
-  int64_t bypass_activations = 0;
-  int64_t io_error_cycles = 0;  ///< cycles that hit a PackBatch I/O error
-  int64_t backoff_cycles = 0;   ///< cycles skipped while backing off
-};
-
 /// What one PackBatch call accomplished.
 struct PackBatchOutcome {
   int64_t bytes_released = 0;
@@ -141,10 +129,12 @@ class PackSubsystem {
   /// source queue, or the global queue).
   void Requeue(PartitionState* partition, ImrsRow* row);
 
-  PackStats GetStats() const;
-
-  /// Registers pack counters (and the bypass flag as a gauge) into the
-  /// unified metrics registry under `pack.*`.
+  /// Registers the cumulative pack counters of Figs. 5, 7 and 10 (cycles,
+  /// bytes_packed, rows_packed, rows_skipped_hot, transactions,
+  /// bypass_activations, io_error_cycles: cycles that hit a PackBatch I/O
+  /// error, backoff_cycles: cycles skipped while backing off) and the
+  /// bypass flag as a gauge into the unified metrics registry under
+  /// `pack.*`.
   Status RegisterMetrics(obs::MetricsRegistry* registry,
                          const std::string& subsystem) const;
 

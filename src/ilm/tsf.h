@@ -16,13 +16,6 @@ namespace obs {
 class MetricsRegistry;
 }  // namespace obs
 
-/// TSF observability snapshot.
-struct TsfStats {
-  uint64_t tau = 0;            ///< current filter value Ʈ
-  int64_t learn_cycles = 0;    ///< completed learning observations
-  uint64_t last_learn_ts = 0;  ///< commit-ts of the last completed learning
-};
-
 /// The timestamp filter learner (paper Sec. VI.D).
 ///
 /// Ʈ approximates the number of transactions (commit-timestamp ticks) it
@@ -64,10 +57,10 @@ class TsfLearner {
     return now - row_last_access <= tau;
   }
 
-  TsfStats GetStats() const;
-
   /// Registers the filter value and learning progress as derived gauges
-  /// into the unified metrics registry under `tsf.*`.
+  /// into the unified metrics registry under `tsf.*`: tau (current Ʈ),
+  /// learn_cycles (completed learning observations) and last_learn_ts
+  /// (commit-ts of the last completed learning).
   Status RegisterMetrics(obs::MetricsRegistry* registry,
                          const std::string& subsystem) const;
 

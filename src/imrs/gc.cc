@@ -228,24 +228,6 @@ void ImrsGc::DrainDeferred(uint64_t oldest_snapshot) {
   }
 }
 
-GcStats ImrsGc::GetStats() const {
-  GcStats s;
-  s.versions_freed = versions_freed_.Load();
-  s.bytes_freed = bytes_freed_.Load();
-  s.rows_purged = rows_purged_.Load();
-  s.rows_enqueued_to_ilm = rows_enqueued_.Load();
-  s.index_pages_reclaimed = index_pages_reclaimed_.Load();
-  for (int i = 0; i < kGcShards; ++i) {
-    MutexGuard guard(shards_[i].mu);
-    s.work_pending += static_cast<int64_t>(shards_[i].work.size());
-  }
-  {
-    MutexGuard guard(deferred_mu_);
-    s.deferred_pending = static_cast<int64_t>(deferred_.size());
-  }
-  return s;
-}
-
 Status ImrsGc::RegisterMetrics(obs::MetricsRegistry* registry,
                                const std::string& subsystem) const {
   const obs::MetricLabels l{subsystem, "", "", ""};

@@ -41,17 +41,6 @@ struct GcHooks {
   std::function<void(uint32_t, uint32_t, int64_t, int64_t)> on_freed;
 };
 
-/// GC activity counters.
-struct GcStats {
-  int64_t versions_freed = 0;
-  int64_t bytes_freed = 0;
-  int64_t rows_purged = 0;
-  int64_t rows_enqueued_to_ilm = 0;
-  int64_t work_pending = 0;
-  int64_t deferred_pending = 0;
-  int64_t index_pages_reclaimed = 0;  ///< Pages recycled via reclaim hooks.
-};
-
 /// Non-blocking garbage collection for the IMRS (paper Sec. II "IMRS-GC").
 ///
 /// Transactions never free version memory inline; at commit the engine
@@ -117,10 +106,10 @@ class ImrsGc {
   int64_t RunOnce(uint64_t oldest_snapshot, uint64_t now,
                   int64_t max_items = 0);
 
-  GcStats GetStats() const;
-
-  /// Registers GC counters (plus the pending-queue depths as derived gauges)
-  /// into the unified metrics registry under `gc.*`.
+  /// Registers GC counters (versions_freed, bytes_freed, rows_purged,
+  /// rows_enqueued, index_pages_reclaimed: pages recycled via reclaim hooks)
+  /// plus the pending-queue depths (work_pending, deferred_pending) as
+  /// derived gauges into the unified metrics registry under `gc.*`.
   Status RegisterMetrics(obs::MetricsRegistry* registry,
                          const std::string& subsystem) const;
 

@@ -23,22 +23,6 @@ class MetricsRegistry;
 struct MetricLabels;
 }  // namespace obs
 
-/// B+Tree traffic counters.
-struct BTreeStats {
-  int64_t inserts = 0;
-  int64_t deletes = 0;
-  int64_t searches = 0;
-  int64_t scans = 0;
-  int64_t splits = 0;
-  int64_t height = 0;
-  int64_t pages_allocated = 0;
-  int64_t olc_restarts = 0;          ///< Version-validation failures.
-  int64_t pessimistic_descents = 0;  ///< Writer fallbacks to latch coupling.
-  int64_t pages_retired = 0;         ///< Leaves unlinked, awaiting epochs.
-  int64_t pages_reclaimed = 0;       ///< Retired pages moved to free list.
-  int64_t pages_reused = 0;          ///< Allocations served from free list.
-};
-
 /// Page-based B+Tree mapping variable-length byte-string keys (memcmp
 /// order) to 64-bit values (encoded RIDs).
 ///
@@ -126,10 +110,21 @@ class BTree {
   bool unique() const { return unique_; }
   uint16_t file_id() const { return file_id_; }
 
-  BTreeStats GetStats() const;
+  /// Levels from root to leaf (1 = the root is a leaf).
+  int64_t height() const { return height_.load(std::memory_order_relaxed); }
 
-  /// Registers the per-tree counters into the unified metrics registry
-  /// under `index.*` with the given labels.
+  /// Pages ever carved from the file (free-list reuse does not grow it).
+  int64_t pages_allocated() const {
+    return next_page_.load(std::memory_order_relaxed);
+  }
+
+  /// Registers the per-tree traffic counters into the unified metrics
+  /// registry under `index.*` with the given labels: inserts, deletes,
+  /// searches, scans, splits, olc_restarts (version-validation failures),
+  /// pessimistic_descents (writer fallbacks to latch coupling),
+  /// pages_retired (leaves unlinked, awaiting epochs), pages_reclaimed
+  /// (retired pages moved to the free list) and pages_reused (allocations
+  /// served from the free list).
   Status RegisterMetrics(obs::MetricsRegistry* registry,
                          const obs::MetricLabels& labels) const;
 

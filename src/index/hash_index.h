@@ -11,17 +11,9 @@
 #include "common/slice.h"
 #include "common/spinlock.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics_registry.h"
 
 namespace btrim {
-
-/// Hash-index counters.
-struct HashIndexStats {
-  int64_t entries = 0;
-  int64_t inserts = 0;
-  int64_t erases = 0;
-  int64_t lookups = 0;
-  int64_t hits = 0;
-};
 
 /// In-memory, table-specific hash index over IMRS rows (paper Sec. II).
 ///
@@ -52,7 +44,6 @@ class HashIndex {
 
   /// Inserts or overwrites the mapping for `key`.
   void Upsert(Slice key, V value) {
-    inserts_.Inc();
     const uint64_t h = HashBytes(key.data(), key.size());
     Bucket& b = buckets_[h & mask_];
     SpinLockGuard guard(b.lock);
@@ -66,14 +57,17 @@ class HashIndex {
     entries_.Add(1);
   }
 
-  /// Removes the mapping for `key`; returns true if present.
-  bool Erase(Slice key) {
-    erases_.Inc();
+  /// Removes the mapping for `key` only while it still maps to `expected`;
+  /// returns true when it did. A caller retiring one row must not erase by
+  /// key alone: a newer row may have taken over the key since (delete ->
+  /// reinsert -> purge), and its mapping has to survive.
+  bool EraseIf(Slice key, const V& expected) {
     const uint64_t h = HashBytes(key.data(), key.size());
     Bucket& b = buckets_[h & mask_];
     SpinLockGuard guard(b.lock);
     for (size_t i = 0; i < b.entries.size(); ++i) {
       if (b.entries[i].hash == h && Slice(b.entries[i].key) == key) {
+        if (b.entries[i].value != expected) return false;
         b.entries[i] = std::move(b.entries.back());
         b.entries.pop_back();
         entries_.Add(-1);
@@ -110,14 +104,13 @@ class HashIndex {
 
   int64_t Size() const { return entries_.Load(); }
 
-  HashIndexStats GetStats() const {
-    HashIndexStats s;
-    s.entries = entries_.Load();
-    s.inserts = inserts_.Load();
-    s.erases = erases_.Load();
-    s.lookups = lookups_.Load();
-    s.hits = hits_.Load();
-    return s;
+  /// Registers the lookup and hit counters into the unified metrics
+  /// registry as `index.hash_lookups` / `index.hash_hits`.
+  Status RegisterMetrics(obs::MetricsRegistry* registry,
+                         const obs::MetricLabels& labels) const {
+    BTRIM_RETURN_IF_ERROR(
+        registry->RegisterCounter("index.hash_lookups", labels, &lookups_));
+    return registry->RegisterCounter("index.hash_hits", labels, &hits_);
   }
 
  private:
@@ -134,7 +127,7 @@ class HashIndex {
   size_t mask_;
   std::unique_ptr<Bucket[]> buckets_;
 
-  mutable ShardedCounter entries_, inserts_, erases_, lookups_, hits_;
+  mutable ShardedCounter entries_, lookups_, hits_;
 };
 
 }  // namespace btrim

@@ -24,11 +24,13 @@ const char* MetricTypeName(MetricType type);
 /// and stay empty for process-wide ones. `tenant` scopes per-client-tenant
 /// metrics from the net server (DESIGN.md Sec. 16); the JSON exporter
 /// omits it when empty so pre-server exports are byte-identical.
+/// The default member initializers let callers name only the fields they
+/// set, e.g. `{.subsystem = "syslogs"}`, without missing-initializer noise.
 struct MetricLabels {
-  std::string subsystem;
-  std::string table;
-  std::string partition;
-  std::string tenant;
+  std::string subsystem = {};
+  std::string table = {};
+  std::string partition = {};
+  std::string tenant = {};
 
   bool operator==(const MetricLabels& other) const {
     return subsystem == other.subsystem && table == other.table &&

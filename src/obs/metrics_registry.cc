@@ -100,19 +100,22 @@ void MetricsRegistry::Unregister(const std::string& name,
   if (it != entries_.end()) Retain(&it->second);
 }
 
-void MetricsRegistry::UnregisterMatching(const MetricLabels& labels) {
-  auto field_matches = [](const std::string& want, const std::string& have) {
-    return want.empty() || want == have;
+bool MetricsRegistry::LabelsMatch(const MetricLabels& want,
+                                  const MetricLabels& have) {
+  auto field_matches = [](const std::string& w, const std::string& h) {
+    return w.empty() || w == h;
   };
+  return field_matches(want.subsystem, have.subsystem) &&
+         field_matches(want.table, have.table) &&
+         field_matches(want.partition, have.partition) &&
+         field_matches(want.tenant, have.tenant);
+}
+
+void MetricsRegistry::UnregisterMatching(const MetricLabels& labels) {
   MutexGuard guard(mu_);
   for (auto& [key, entry] : entries_) {
     (void)key;
-    if (field_matches(labels.subsystem, entry.labels.subsystem) &&
-        field_matches(labels.table, entry.labels.table) &&
-        field_matches(labels.partition, entry.labels.partition) &&
-        field_matches(labels.tenant, entry.labels.tenant)) {
-      Retain(&entry);
-    }
+    if (LabelsMatch(labels, entry.labels)) Retain(&entry);
   }
 }
 
@@ -132,6 +135,25 @@ MetricSample MetricsRegistry::Evaluate(const Entry& entry) {
     s.value = entry.fn ? entry.fn() : 0;
   }
   return s;
+}
+
+int64_t MetricsRegistry::Value(const std::string& name,
+                               const MetricLabels& labels) const {
+  // Keys sort by name first, so every entry of `name` is one contiguous run
+  // starting at name + '\x1f'.
+  const std::string prefix = name + '\x1f';
+  int64_t sum = 0;
+  MutexGuard guard(mu_);
+  for (auto it = entries_.lower_bound(prefix);
+       it != entries_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it) {
+    const Entry& e = it->second;
+    if (e.type == MetricType::kHistogram || !LabelsMatch(labels, e.labels)) {
+      continue;
+    }
+    sum += e.retained ? e.retained_value : (e.fn ? e.fn() : 0);
+  }
+  return sum;
 }
 
 bool MetricsRegistry::Lookup(const std::string& name,

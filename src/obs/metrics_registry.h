@@ -74,6 +74,14 @@ class MetricsRegistry {
 
   /// --- reading --------------------------------------------------------------
 
+  /// Sums every live or retained counter/gauge named `name` whose non-empty
+  /// `labels` fields all match (empty fields are wildcards, the same rule
+  /// as UnregisterMatching). 0 when nothing matches. Histograms are not
+  /// summed; read them with Lookup.
+  ///   Value("wal.syncs")                       // both logs
+  ///   Value("wal.syncs", {.subsystem = "syslogs"})
+  int64_t Value(const std::string& name, const MetricLabels& labels = {}) const;
+
   /// Evaluates one metric (live or retained). False when absent.
   bool Lookup(const std::string& name, const MetricLabels& labels,
               MetricSample* out) const;
@@ -101,6 +109,8 @@ class MetricsRegistry {
   };
 
   static std::string Key(const std::string& name, const MetricLabels& labels);
+  /// True when every non-empty field of `want` equals the one in `have`.
+  static bool LabelsMatch(const MetricLabels& want, const MetricLabels& have);
   Status RegisterEntry(const std::string& name, MetricLabels labels,
                        Entry entry);
   static MetricSample Evaluate(const Entry& entry);

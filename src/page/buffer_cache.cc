@@ -348,19 +348,6 @@ Status BufferCache::DropAll() {
   return Status::OK();
 }
 
-BufferCacheStats BufferCache::GetStats() const {
-  BufferCacheStats s;
-  s.fixes = fixes_.Load();
-  s.hits = hits_.Load();
-  s.misses = misses_.Load();
-  s.evictions = evictions_.Load();
-  s.dirty_writes = dirty_writes_.Load();
-  s.latch_contention = contention_.Load();
-  s.fix_failures = fix_failures_.Load();
-  s.write_failures = write_failures_.Load();
-  return s;
-}
-
 Status BufferCache::RegisterMetrics(obs::MetricsRegistry* registry,
                                     const std::string& subsystem) const {
   const obs::MetricLabels l{subsystem, "", "", ""};

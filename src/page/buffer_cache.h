@@ -28,18 +28,6 @@ class BufferCache;
 /// Latch mode requested when fixing a page.
 enum class LatchMode : uint8_t { kShared, kExclusive };
 
-/// Counters exposed by the buffer cache.
-struct BufferCacheStats {
-  int64_t fixes = 0;
-  int64_t hits = 0;
-  int64_t misses = 0;
-  int64_t evictions = 0;
-  int64_t dirty_writes = 0;
-  int64_t latch_contention = 0;  ///< Latch attempts that had to wait.
-  int64_t fix_failures = 0;      ///< Fix could not get a frame.
-  int64_t write_failures = 0;    ///< Dirty write-backs the device rejected.
-};
-
 /// RAII handle to a pinned, latched buffer-cache page.
 ///
 /// Destruction releases the latch and unpins the frame. `contended()`
@@ -136,10 +124,11 @@ class BufferCache {
   /// cache. All pages must be unpinned.
   Status DropAll();
 
-  BufferCacheStats GetStats() const;
-
   /// Registers the cache counters into the unified metrics registry under
-  /// `buffer_cache.*`.
+  /// `buffer_cache.*`: fixes, hits, misses, evictions, dirty_writes,
+  /// latch_contention (latch attempts that had to wait), fix_failures (no
+  /// frame could be had) and write_failures (write-backs the device
+  /// rejected).
   Status RegisterMetrics(obs::MetricsRegistry* registry,
                          const std::string& subsystem) const;
 

@@ -264,16 +264,6 @@ bool LockManager::Holds(uint64_t txn_id, uint64_t lock_id,
   return false;
 }
 
-LockManagerStats LockManager::GetStats() const {
-  LockManagerStats s;
-  s.acquisitions = acquisitions_.Load();
-  s.fast_grants = fast_grants_.Load();
-  s.waits = waits_.Load();
-  s.timeouts = timeouts_.Load();
-  s.try_failures = try_failures_.Load();
-  return s;
-}
-
 Status LockManager::RegisterMetrics(obs::MetricsRegistry* registry,
                                     const std::string& subsystem) const {
   const obs::MetricLabels l{subsystem, "", "", ""};

@@ -25,15 +25,6 @@ class MetricsRegistry;
 /// are incompatible with everything held by other transactions.
 enum class LockMode : uint8_t { kShared, kExclusive };
 
-/// Lock manager counters.
-struct LockManagerStats {
-  int64_t acquisitions = 0;
-  int64_t fast_grants = 0;    ///< Exclusive grants via the atomic fast path.
-  int64_t waits = 0;          ///< Acquisitions that had to block.
-  int64_t timeouts = 0;       ///< Blocked acquisitions that gave up (abort).
-  int64_t try_failures = 0;   ///< Conditional requests denied (Pack skips).
-};
-
 /// Row-level lock manager.
 ///
 /// Locks are identified by a 64-bit id (the encoded RID). DMLs acquire
@@ -88,12 +79,13 @@ class LockManager {
   /// True if `txn_id` currently holds `lock_id` at >= `mode`.
   bool Holds(uint64_t txn_id, uint64_t lock_id, LockMode mode) const;
 
-  LockManagerStats GetStats() const;
-
-  /// Registers the lock-manager counters, the blocked-wait latency
-  /// histogram (`locks.wait_us`) and the contention gauges
-  /// (`locks.waiting_txns`, `locks.contended_stripes`) into the unified
-  /// metrics registry under `locks.*`.
+  /// Registers the lock-manager counters (acquisitions, fast_grants:
+  /// exclusive grants via the atomic fast path, waits: acquisitions that
+  /// blocked, timeouts: blocked acquisitions that gave up, try_failures:
+  /// conditional requests denied), the blocked-wait latency histogram
+  /// (`locks.wait_us`) and the contention gauges (`locks.waiting_txns`,
+  /// `locks.contended_stripes`) into the unified metrics registry under
+  /// `locks.*`.
   Status RegisterMetrics(obs::MetricsRegistry* registry,
                          const std::string& subsystem) const;
 

@@ -40,26 +40,6 @@ struct DurabilityOptions {
   int64_t max_group_latency_us = 200;
 };
 
-/// Point-in-time committer counters.
-struct GroupCommitStats {
-  int64_t groups_committed = 0;  ///< transaction groups made durable
-  int64_t batches = 0;           ///< append+sync rounds executed by leaders
-  int64_t batch_bytes = 0;       ///< bytes written through batch rounds
-  int64_t max_batch_groups = 0;  ///< largest batch observed
-  LatencyHistogram::Snapshot commit_latency;  ///< per-group durability wait
-
-  double GroupsPerBatch() const {
-    return batches > 0 ? static_cast<double>(groups_committed) /
-                             static_cast<double>(batches)
-                       : 0.0;
-  }
-  double AvgBatchBytes() const {
-    return batches > 0
-               ? static_cast<double>(batch_bytes) / static_cast<double>(batches)
-               : 0.0;
-  }
-};
-
 /// Batches the durability step of concurrent committers over one Log.
 ///
 /// Leader/follower design (no dedicated writer thread): a committing
@@ -107,10 +87,11 @@ class GroupCommitter {
 
   DurabilityPolicy policy() const { return options_.policy; }
 
-  GroupCommitStats GetStats() const;
-
   /// Registers the committer's counters and latency histogram into the
-  /// unified metrics registry under `commit.*`.
+  /// unified metrics registry under `commit.*`: groups (transaction groups
+  /// made durable), batches (append+sync rounds run by leaders),
+  /// batch_bytes, max_batch_groups (largest batch seen) and latency_us
+  /// (per-group durability wait).
   Status RegisterMetrics(obs::MetricsRegistry* registry,
                          const std::string& subsystem) const;
 

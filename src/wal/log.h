@@ -64,18 +64,6 @@ class FileLogStorage : public LogStorage {
   std::atomic<int64_t> size_{0};
 };
 
-/// Log traffic counters. Only operations that succeeded end-to-end count
-/// toward the traffic fields; failures have their own counters.
-struct LogStats {
-  int64_t records_appended = 0;
-  int64_t bytes_appended = 0;
-  int64_t groups_appended = 0;
-  int64_t syncs = 0;            ///< device syncs completed successfully
-  int64_t syncs_elided = 0;     ///< Commit() calls skipped: nothing new to sync
-  int64_t append_failures = 0;  ///< storage appends that failed (poisoning)
-  int64_t sync_failures = 0;    ///< storage syncs that failed (poisoning)
-};
-
 /// A transaction log (one instance each for syslogs and sysimrslogs).
 ///
 /// Appends are atomic per call: callers serialize a *group* of records
@@ -131,10 +119,12 @@ class Log {
 
   int64_t SizeBytes() const { return storage_->Size(); }
 
-  LogStats GetStats() const;
-
   /// Registers this log's counters into the unified metrics registry under
-  /// `wal.*` with the given subsystem label ("syslogs" / "sysimrslogs").
+  /// `wal.*` with the given subsystem label ("syslogs" / "sysimrslogs"):
+  /// records_appended, bytes_appended, groups_appended, syncs (device syncs
+  /// that succeeded), syncs_elided (Commit() calls with nothing new to
+  /// sync), append_failures and sync_failures. Only operations that
+  /// succeeded end to end count toward the traffic counters.
   Status RegisterMetrics(obs::MetricsRegistry* registry,
                          const std::string& subsystem) const;
 

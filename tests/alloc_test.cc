@@ -9,6 +9,7 @@
 
 #include "alloc/fragment_allocator.h"
 #include "common/random.h"
+#include "metric_reader.h"
 
 namespace btrim {
 namespace {
@@ -38,7 +39,7 @@ TEST(FragmentAllocatorTest, ZeroAndOversizeRequestsFail) {
   FragmentAllocator alloc(kMiB, /*segment_bytes=*/64 * 1024);
   EXPECT_EQ(alloc.Allocate(0), nullptr);
   EXPECT_EQ(alloc.Allocate(64 * 1024), nullptr);  // exceeds a segment
-  EXPECT_EQ(alloc.GetStats().failed_allocs, 2);
+  EXPECT_EQ(MetricReader(alloc).Value("imrs_cache.failed_allocs"), 2);
 }
 
 TEST(FragmentAllocatorTest, CapacityIsEnforced) {
@@ -94,7 +95,7 @@ TEST(FragmentAllocatorTest, CoalescingRebuildsLargeBlocks) {
     ptrs.push_back(p);
   }
   for (void* p : ptrs) alloc.Free(p);
-  EXPECT_GT(alloc.GetStats().coalesce_count, 0);
+  EXPECT_GT(MetricReader(alloc).Value("imrs_cache.coalesces"), 0);
   void* big = alloc.Allocate(60 * 1024);
   EXPECT_NE(big, nullptr);
   alloc.Free(big);
@@ -105,11 +106,11 @@ TEST(FragmentAllocatorTest, StatsAreCoherent) {
   void* a = alloc.Allocate(64);
   void* b = alloc.Allocate(128);
   alloc.Free(a);
-  FragmentAllocatorStats s = alloc.GetStats();
-  EXPECT_EQ(s.alloc_calls, 2);
-  EXPECT_EQ(s.free_calls, 1);
-  EXPECT_EQ(s.capacity_bytes, static_cast<int64_t>(kMiB));
-  EXPECT_GT(s.segment_bytes, 0);
+  MetricReader s(alloc);
+  EXPECT_EQ(s.Value("imrs_cache.alloc_calls"), 2);
+  EXPECT_EQ(s.Value("imrs_cache.free_calls"), 1);
+  EXPECT_EQ(s.Value("imrs_cache.capacity_bytes"), static_cast<int64_t>(kMiB));
+  EXPECT_GT(s.Value("imrs_cache.segment_bytes"), 0);
   alloc.Free(b);
 }
 

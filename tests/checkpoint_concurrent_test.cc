@@ -263,8 +263,6 @@ TEST_F(CheckpointConcurrentTest, BackToBackCheckpointsStayClean) {
     }
     ASSERT_TRUE(db_->Checkpoint().ok()) << "round " << round;
   }
-  const DatabaseStats stats = db_->GetStats();
-  (void)stats;
   VerifyAll(expect);
 
   Open(options, true);

@@ -374,7 +374,7 @@ void DrainPack(Database* db) {
   int stalled = 0;
   for (int iter = 0; iter < 500 && stalled < 3; ++iter) {
     db->RunIlmTickOnce();
-    const int64_t rows = db->GetStats().pack.rows_packed;
+    const int64_t rows = db->metrics_registry()->Value("pack.rows_packed");
     stalled = rows == last_rows ? stalled + 1 : 0;
     last_rows = rows;
   }

@@ -2,6 +2,8 @@
 // snapshot isolation, hot-data admission (migration / select caching),
 // Pack relocation, and GC purge — all through the public Database API.
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -148,6 +150,11 @@ class EngineTest : public ::testing::Test {
   }
 
   std::string Key(int64_t id) { return table_->pk_encoder().KeyForInts({id}); }
+
+  int64_t Metric(const std::string& name,
+                 const obs::MetricLabels& labels = {}) {
+    return db_->metrics_registry()->Value(name, labels);
+  }
 
   std::string Record(int64_t id, int64_t group, const std::string& value) {
     RecordBuilder b(&table_->schema());
@@ -480,9 +487,9 @@ TEST_F(EngineTest, PointSelectCachesPageStoreRow) {
   });
   EXPECT_TRUE(found_cached);
   // Subsequent reads hit the IMRS.
-  const int64_t imrs_ops_before = db_->GetStats().imrs_operations;
+  const int64_t imrs_ops_before = Metric("engine.imrs_ops");
   EXPECT_EQ(*ReadValue(1), "readable");
-  EXPECT_GT(db_->GetStats().imrs_operations, imrs_ops_before);
+  EXPECT_GT(Metric("engine.imrs_ops"), imrs_ops_before);
 }
 
 TEST_F(EngineTest, SelectCachingCanBeDisabled) {
@@ -505,8 +512,7 @@ TEST_F(EngineTest, ImrsFullFallsBackToPageStore) {
   for (int64_t i = 0; i < 200; ++i) {
     ASSERT_TRUE(InsertRow(i, 1, std::string(50, 'x')).ok()) << i;
   }
-  DatabaseStats stats = db_->GetStats();
-  EXPECT_GT(stats.page_operations, 0);
+  EXPECT_GT(Metric("engine.page_ops"), 0);
   // Everything is readable regardless of where it landed.
   for (int64_t i = 0; i < 200; i += 20) {
     EXPECT_TRUE(ReadValue(i).ok()) << i;
@@ -531,9 +537,8 @@ TEST_F(EngineTest, PackRelocatesColdRowsAndKeepsThemReadable) {
     db_->RunIlmTickOnce();
     db_->RunGcOnce();
   }
-  DatabaseStats stats = db_->GetStats();
-  EXPECT_GT(stats.pack.rows_packed, 0);
-  EXPECT_GT(stats.pack.bytes_packed, 0);
+  EXPECT_GT(Metric("pack.rows_packed"), 0);
+  EXPECT_GT(Metric("pack.bytes_packed"), 0);
   EXPECT_LT(db_->imrs_allocator()->InUseBytes(), before_bytes);
 
   // Every row is still readable (some from the page store now).
@@ -558,12 +563,84 @@ TEST_F(EngineTest, GcPurgesDeletedRowsCompletely) {
   db_->RunGcOnce();
 
   EXPECT_EQ(db_->rid_map()->Lookup(Rid{0, 0, 0}), nullptr);
-  EXPECT_GT(db_->GetStats().gc.rows_purged, 0);
+  EXPECT_GT(Metric("gc.rows_purged"), 0);
   // The primary index entry is gone too (a fresh insert of the key works
   // and a lookup honestly misses).
   EXPECT_TRUE(ReadValue(1).status().IsNotFound());
   ASSERT_TRUE(InsertRow(1, 10, "reborn").ok());
   EXPECT_EQ(*ReadValue(1), "reborn");
+}
+
+// delete -> reinsert -> purge: the purge of a deleted row drops its index
+// entries, and a new row can take over the key before the purge reaches the
+// hash index. The purge must then leave the new row's hash mapping alone.
+// The interleaving is forced, not raced: a helper thread holds the latch of
+// the secondary index's leftmost leaf (page 0 keeps the smallest keys across
+// splits), so the purge stalls between its primary-index delete and its
+// hash-index erase while the reinsert runs on a different leaf.
+TEST_F(EngineTest, PurgeKeepsTheHashMappingOfAReinsertedKey) {
+  Open();
+  // Fillers give the secondary index several leaves; the doomed row's
+  // group 0 sorts into leaf 0, the reinsert's group far right.
+  for (int64_t i = 100; i < 1100; ++i) {
+    ASSERT_TRUE(InsertRow(i, i, "filler").ok());
+  }
+  ASSERT_TRUE(InsertRow(1, 0, "doomed").ok());
+  db_->RunGcOnce();
+  {
+    auto txn = db_->Begin();
+    ASSERT_TRUE(db_->Delete(txn.get(), table_, Key(1)).ok());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+  }
+  ASSERT_TRUE(InsertRow(2, 2000000, "clock-mover").ok());
+  BTree* by_group = table_->secondaries()[0].tree.get();
+  ASSERT_GT(by_group->height(), 1);
+
+  std::atomic<bool> latched{false}, release{false}, gc_done{false};
+  bool leaf_fixed = false;
+  std::thread latch_holder([&] {
+    Result<PageGuard> leaf = db_->buffer_cache()->FixPage(
+        PageId{by_group->file_id(), 0}, LatchMode::kExclusive);
+    leaf_fixed = leaf.ok();
+    latched.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!latched.load()) std::this_thread::yield();
+  if (!leaf_fixed) {
+    release.store(true);
+    latch_holder.join();
+    FAIL() << "could not latch the secondary index's leftmost leaf";
+  }
+  std::thread gc([&] {
+    db_->RunGcOnce();
+    gc_done.store(true);
+  });
+
+  // The purge has removed the primary entry once the key reads absent;
+  // it cannot reach the hash index before the leaf latch is released.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (table_->primary_index()->Search(Key(1)).ok() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool purge_started = !table_->primary_index()->Search(Key(1)).ok();
+  Status reinsert = Status::OK();
+  if (purge_started) reinsert = InsertRow(1, 1000000, "reborn");
+  const bool purge_stalled = !gc_done.load();
+  release.store(true);
+  latch_holder.join();
+  gc.join();
+
+  ASSERT_TRUE(purge_started) << "GC never purged the deleted row";
+  ASSERT_TRUE(purge_stalled) << "purge finished before the reinsert";
+  ASSERT_TRUE(reinsert.ok()) << reinsert.ToString();
+  EXPECT_EQ(*ReadValue(1), "reborn");
+  Status v = db_->ValidateInvariants();
+  EXPECT_TRUE(v.ok()) << v.ToString();
+  ImrsRow* mapped = table_->hash_index()->Lookup(Key(1), nullptr);
+  ASSERT_NE(mapped, nullptr) << "the purge erased the new row's mapping";
+  EXPECT_EQ(db_->rid_map()->Lookup(mapped->rid), mapped);
 }
 
 // --- scans ------------------------------------------------------------------------------
@@ -878,20 +955,19 @@ TEST_F(EngineTest, TunerDisablesColdRangePartitionsOnly) {
 TEST_F(EngineTest, HashIndexServesPointLookups) {
   Open();
   ASSERT_TRUE(InsertRow(1, 10, "fast").ok());
-  const int64_t hits_before = table_->hash_index()->GetStats().hits;
+  const int64_t hits_before = Metric("index.hash_hits", {.table = "kv"});
   EXPECT_EQ(*ReadValue(1), "fast");
-  EXPECT_GT(table_->hash_index()->GetStats().hits, hits_before);
+  EXPECT_GT(Metric("index.hash_hits", {.table = "kv"}), hits_before);
 }
 
 TEST_F(EngineTest, StatsReflectActivity) {
   Open();
   ASSERT_TRUE(InsertRow(1, 10, "x").ok());
   ASSERT_TRUE(UpdateValue(1, "y").ok());
-  DatabaseStats stats = db_->GetStats();
-  EXPECT_EQ(stats.txns.committed, 2);
-  EXPECT_GT(stats.imrs_operations, 0);
-  EXPECT_GT(stats.sysimrslogs.records_appended, 0);
-  EXPECT_GT(stats.imrs_cache.in_use_bytes, 0);
+  EXPECT_EQ(Metric("txn.committed"), 2);
+  EXPECT_GT(Metric("engine.imrs_ops"), 0);
+  EXPECT_GT(Metric("wal.records_appended", {.subsystem = "sysimrslogs"}), 0);
+  EXPECT_GT(Metric("imrs_cache.in_use_bytes"), 0);
 }
 
 TEST_F(EngineTest, CheckpointFlushesAndTruncates) {
@@ -939,7 +1015,7 @@ TEST_F(EngineTest, PinnedTableIsNeverPacked) {
   db_->RunGcOnce();
   for (int i = 0; i < 10; ++i) db_->RunIlmTickOnce();
 
-  EXPECT_GT(db_->GetStats().pack.rows_packed, 0);  // unpinned churned
+  EXPECT_GT(Metric("pack.rows_packed"), 0);  // unpinned churned
   EXPECT_EQ(pinned->partition(0).ilm->metrics.rows_packed.Load(), 0);
   EXPECT_EQ(pinned->partition(0).ilm->metrics.imrs_rows.Load(), 20);
 }
@@ -1015,7 +1091,7 @@ TEST_F(EngineTest, StatsPrinterProducesAllSections) {
   Open();
   ASSERT_TRUE(InsertRow(1, 10, "x").ok());
   ASSERT_TRUE(UpdateValue(1, "y").ok());
-  const std::string report = FormatDatabaseStats(db_->GetStats());
+  const std::string report = FormatDatabaseStats(*db_->metrics_registry());
   for (const char* section :
        {"transactions", "op routing", "IMRS cache", "buffer cache", "locks",
         "GC", "Pack", "syslogs", "sysimrslogs"}) {

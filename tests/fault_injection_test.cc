@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault_plan.h"
+#include "metric_reader.h"
 #include "page/buffer_cache.h"
 #include "page/device.h"
 #include "page/faulty_device.h"
@@ -251,8 +252,8 @@ TEST(LogPoisoningTest, FailedAppendPoisonsTheLog) {
   rec.txn_id = 1;
   EXPECT_FALSE(log.AppendRecord(rec).ok());
   EXPECT_TRUE(log.poisoned());
-  EXPECT_EQ(log.GetStats().append_failures, 1);
-  EXPECT_EQ(log.GetStats().records_appended, 0);
+  EXPECT_EQ(MetricReader(log).Value("wal.append_failures"), 1);
+  EXPECT_EQ(MetricReader(log).Value("wal.records_appended"), 0);
 
   // Every later operation fails with the sticky poison status without
   // reaching the storage: garbage may sit in the tail, and appending after
@@ -262,7 +263,8 @@ TEST(LogPoisoningTest, FailedAppendPoisonsTheLog) {
   EXPECT_FALSE(log.Commit().ok());
   EXPECT_FALSE(log.Truncate().ok());
   EXPECT_EQ(plan->ops_seen(), ops_before);
-  EXPECT_EQ(log.GetStats().append_failures, 1);  // counted once, at the cause
+  // Counted once, at the cause.
+  EXPECT_EQ(MetricReader(log).Value("wal.append_failures"), 1);
 }
 
 TEST(LogPoisoningTest, FailedSyncPoisonsAndNeverElidesLater) {
@@ -277,16 +279,15 @@ TEST(LogPoisoningTest, FailedSyncPoisonsAndNeverElidesLater) {
   ASSERT_TRUE(log.AppendRecord(rec).ok());
   plan->FailNth(FaultOp::kSync, "", 1);
   EXPECT_FALSE(log.Commit().ok());
-  LogStats stats = log.GetStats();
-  EXPECT_EQ(stats.sync_failures, 1);
-  EXPECT_EQ(stats.syncs, 0);
+  MetricReader stats(log);
+  EXPECT_EQ(stats.Value("wal.sync_failures"), 1);
+  EXPECT_EQ(stats.Value("wal.syncs"), 0);
 
   // fsyncgate: a retried Commit must NOT succeed (or be elided as clean) —
   // the storage tail's durability is indeterminate after a failed fsync.
   EXPECT_FALSE(log.Commit().ok());
-  stats = log.GetStats();
-  EXPECT_EQ(stats.syncs, 0);
-  EXPECT_EQ(stats.syncs_elided, 0);
+  EXPECT_EQ(stats.Value("wal.syncs"), 0);
+  EXPECT_EQ(stats.Value("wal.syncs_elided"), 0);
 }
 
 // --- BufferCache propagation ------------------------------------------------
@@ -307,7 +308,7 @@ TEST(BufferCacheFaultTest, FlushAllPropagatesWriteError) {
   }
   plan->FailNth(FaultOp::kWrite, "", 1);
   EXPECT_FALSE(cache.FlushAll().ok());
-  EXPECT_EQ(cache.GetStats().write_failures, 1);
+  EXPECT_EQ(MetricReader(cache).Value("buffer_cache.write_failures"), 1);
 
   // The frame stayed dirty, so a retry makes the page durable: EIO is an
   // error, never data loss.
@@ -336,7 +337,7 @@ TEST(BufferCacheFaultTest, EvictionWriteBackFailureSurfacesAndPreservesData) {
   // Fixing another page needs the only frame; the dirty victim's write-back
   // fails and the fix reports it instead of dropping the data.
   EXPECT_FALSE(cache.FixPage(PageId{0, 1}, LatchMode::kShared).ok());
-  EXPECT_EQ(cache.GetStats().write_failures, 1);
+  EXPECT_EQ(MetricReader(cache).Value("buffer_cache.write_failures"), 1);
 
   // Once the device recovers, the same fix succeeds and the victim's bytes
   // survive the round trip.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metric_reader.h"
 #include "wal/group_commit.h"
 #include "wal/log.h"
 #include "wal/log_record.h"
@@ -49,12 +50,11 @@ TEST(GroupCommitterTest, SyncPerCommitSyncsEveryGroup) {
     std::string group = SerializedGroup(t, 2);
     ASSERT_TRUE(committer.CommitGroup(Slice(group), 3).ok());
   }
-  EXPECT_EQ(log->GetStats().syncs, 4);
-  GroupCommitStats stats = committer.GetStats();
-  EXPECT_EQ(stats.groups_committed, 4);
-  EXPECT_EQ(stats.batches, 4);
-  EXPECT_DOUBLE_EQ(stats.GroupsPerBatch(), 1.0);
-  EXPECT_EQ(stats.commit_latency.total, 4);
+  EXPECT_EQ(MetricReader(*log).Value("wal.syncs"), 4);
+  MetricReader stats(committer);
+  EXPECT_EQ(stats.Value("commit.groups"), 4);
+  EXPECT_EQ(stats.Value("commit.batches"), 4);
+  EXPECT_EQ(stats.Histogram("commit.latency_us").total, 4);
   std::filesystem::remove(path);
 }
 
@@ -67,9 +67,10 @@ TEST(GroupCommitterTest, NoSyncAppendsWithoutSyncing) {
 
   std::string group = SerializedGroup(1, 1);
   ASSERT_TRUE(committer.CommitGroup(Slice(group), 2).ok());
-  EXPECT_EQ(log->GetStats().syncs, 0);
-  EXPECT_EQ(committer.GetStats().groups_committed, 1);
-  EXPECT_EQ(committer.GetStats().batches, 0);  // no batching machinery used
+  EXPECT_EQ(MetricReader(*log).Value("wal.syncs"), 0);
+  MetricReader stats(committer);
+  EXPECT_EQ(stats.Value("commit.groups"), 1);
+  EXPECT_EQ(stats.Value("commit.batches"), 0);  // no batching machinery used
   int replayed = 0;
   ASSERT_TRUE(log->Replay([&](const LogRecord&) {
                    ++replayed;
@@ -90,10 +91,10 @@ TEST(GroupCommitterTest, LoneCommitterIsDurableAfterOneSync) {
 
   std::string group = SerializedGroup(1, 3);
   ASSERT_TRUE(committer.CommitGroup(Slice(group), 4).ok());
-  EXPECT_EQ(log->GetStats().syncs, 1);
-  GroupCommitStats stats = committer.GetStats();
-  EXPECT_EQ(stats.batches, 1);
-  EXPECT_EQ(stats.max_batch_groups, 1);
+  EXPECT_EQ(MetricReader(*log).Value("wal.syncs"), 1);
+  MetricReader stats(committer);
+  EXPECT_EQ(stats.Value("commit.batches"), 1);
+  EXPECT_EQ(stats.Value("commit.max_batch_groups"), 1);
   std::filesystem::remove(path);
 }
 
@@ -127,12 +128,11 @@ TEST(GroupCommitterTest, ConcurrentCommittersShareOneSync) {
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(log->GetStats().syncs, 1);
-  GroupCommitStats stats = committer.GetStats();
-  EXPECT_EQ(stats.groups_committed, kCommitters);
-  EXPECT_EQ(stats.batches, 1);
-  EXPECT_EQ(stats.max_batch_groups, kCommitters);
-  EXPECT_DOUBLE_EQ(stats.GroupsPerBatch(), kCommitters);
+  EXPECT_EQ(MetricReader(*log).Value("wal.syncs"), 1);
+  MetricReader stats(committer);
+  EXPECT_EQ(stats.Value("commit.groups"), kCommitters);
+  EXPECT_EQ(stats.Value("commit.batches"), 1);
+  EXPECT_EQ(stats.Value("commit.max_batch_groups"), kCommitters);
 
   // Every group replays complete and contiguous (per-txn record runs).
   int commits_seen = 0;
@@ -192,7 +192,7 @@ TEST(GroupCommitterTest, SyncFailurePoisonsTheCommitter) {
   // Sticky: later commits fail immediately, even though their own append
   // never ran (the log tail is no longer trustworthy).
   EXPECT_TRUE(committer.CommitGroup(Slice(group), 2).IsIOError());
-  EXPECT_EQ(committer.GetStats().groups_committed, 0);
+  EXPECT_EQ(MetricReader(committer).Value("commit.groups"), 0);
 }
 
 TEST(GroupCommitterTest, OptionsAreSanitized) {
@@ -205,7 +205,7 @@ TEST(GroupCommitterTest, OptionsAreSanitized) {
   GroupCommitter committer(log.get(), opts);
   std::string group = SerializedGroup(1, 1);
   ASSERT_TRUE(committer.CommitGroup(Slice(group), 2).ok());
-  EXPECT_EQ(committer.GetStats().batches, 1);
+  EXPECT_EQ(MetricReader(committer).Value("commit.batches"), 1);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "ilm/pack.h"
 #include "ilm/tsf.h"
 #include "ilm/tuner.h"
+#include "metric_reader.h"
 
 namespace btrim {
 namespace {
@@ -152,7 +153,7 @@ TEST_F(TsfTest, LearnsTauFromGrowthRate) {
   // 2% growth after 50 ticks: Ʈ = 50 * 0.70 / 0.02 = 1750.
   tsf.Observe(150, 20000, cap);
   EXPECT_EQ(tsf.Tau(), 1750u);
-  EXPECT_EQ(tsf.GetStats().learn_cycles, 1);
+  EXPECT_EQ(MetricReader(tsf).Value("tsf.learn_cycles"), 1);
 }
 
 TEST_F(TsfTest, SubThresholdGrowthKeepsWaiting) {
@@ -210,7 +211,7 @@ TEST_F(TsfTest, ResetClearsState) {
   ASSERT_GT(tsf.Tau(), 0u);
   tsf.Reset();
   EXPECT_EQ(tsf.Tau(), 0u);
-  EXPECT_EQ(tsf.GetStats().learn_cycles, 0);
+  EXPECT_EQ(MetricReader(tsf).Value("tsf.learn_cycles"), 0);
 }
 
 // --- tuner ----------------------------------------------------------------------
@@ -516,7 +517,7 @@ TEST_F(PackTest, BypassActivatesWhenAggressiveCannotKeepUp) {
   PackCycleResult r2 = pack_.RunPackCycle({part.get()}, 2);
   EXPECT_TRUE(r2.bypass_active);
   EXPECT_TRUE(pack_.BypassActive());
-  EXPECT_EQ(pack_.GetStats().bypass_activations, 1);
+  EXPECT_EQ(MetricReader(pack_).Value("pack.bypass_activations"), 1);
 }
 
 TEST_F(PackTest, ApportioningTaxesFatColdPartitions) {

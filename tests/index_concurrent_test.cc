@@ -15,6 +15,7 @@
 #include "common/lock_order.h"
 #include "common/random.h"
 #include "index/btree.h"
+#include "metric_reader.h"
 #include "index/epoch.h"
 #include "page/device.h"
 
@@ -44,6 +45,7 @@ class BTreeConcurrentTest : public ::testing::Test {
   MemDevice dev_;
   BufferCache cache_;
   BTree tree_;
+  MetricReader stats_{tree_};
 };
 
 TEST_F(BTreeConcurrentTest, ParallelWritersDisjointRanges) {
@@ -74,7 +76,7 @@ TEST_F(BTreeConcurrentTest, ParallelWritersDisjointRanges) {
   for (size_t i = 1; i < all.size(); ++i) {
     ASSERT_LT(all[i - 1].first, all[i].first) << "scan out of order at " << i;
   }
-  EXPECT_GT(tree_.GetStats().splits, 0);
+  EXPECT_GT(stats_.Value("index.splits"), 0);
 }
 
 TEST_F(BTreeConcurrentTest, ReadersVsSplittingWriters) {
@@ -208,25 +210,25 @@ TEST_F(BTreeConcurrentTest, EpochPinBlocksPageReclamation) {
     for (uint64_t k = 2000; k-- > 0;) {
       ASSERT_TRUE(tree_.Delete(IntKey(k)).ok());
     }
-    const BTreeStats mid = tree_.GetStats();
-    ASSERT_GT(mid.pages_retired, 0) << "emptied leaves should retire";
+    ASSERT_GT(stats_.Value("index.pages_retired"), 0)
+        << "emptied leaves should retire";
     EXPECT_EQ(tree_.DrainRetired(), 0)
         << "retired pages reclaimed under a live epoch pin";
-    EXPECT_EQ(tree_.GetStats().pages_reclaimed, 0);
+    EXPECT_EQ(stats_.Value("index.pages_reclaimed"), 0);
   }
-  const BTreeStats before = tree_.GetStats();
-  EXPECT_EQ(tree_.DrainRetired(), before.pages_retired);
-  EXPECT_EQ(tree_.GetStats().pages_reclaimed, before.pages_retired);
+  const int64_t retired = stats_.Value("index.pages_retired");
+  EXPECT_EQ(tree_.DrainRetired(), retired);
+  EXPECT_EQ(stats_.Value("index.pages_reclaimed"), retired);
 
   // Re-inserting reuses reclaimed page numbers instead of growing the
   // file (small slack: the rebuilt leaf boundaries need not line up
   // exactly with the original ones).
-  const int64_t allocated_before = tree_.GetStats().pages_allocated;
+  const int64_t allocated_before = tree_.pages_allocated();
   for (uint64_t k = 0; k < 2000; ++k) {
     ASSERT_TRUE(tree_.Insert(IntKey(k), k).ok());
   }
-  EXPECT_GT(tree_.GetStats().pages_reused, 0);
-  EXPECT_LE(tree_.GetStats().pages_allocated, allocated_before + 4)
+  EXPECT_GT(stats_.Value("index.pages_reused"), 0);
+  EXPECT_LE(tree_.pages_allocated(), allocated_before + 4)
       << "reinsert should be served almost entirely from the free list";
 }
 
@@ -270,8 +272,7 @@ TEST_F(BTreeConcurrentTest, ConcurrentDeletersAndScanners) {
   std::vector<std::pair<std::string, uint64_t>> rest;
   ASSERT_TRUE(tree_.Scan(IntKey(0), Slice(), 0, &rest).ok());
   EXPECT_TRUE(rest.empty());
-  const BTreeStats s = tree_.GetStats();
-  EXPECT_GT(s.pages_retired, 0);
+  EXPECT_GT(stats_.Value("index.pages_retired"), 0);
 }
 
 TEST_F(BTreeConcurrentTest, ScanReservesWithoutQuadraticGrowth) {

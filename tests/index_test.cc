@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "index/btree.h"
 #include "index/hash_index.h"
+#include "metric_reader.h"
 #include "page/device.h"
 
 namespace btrim {
@@ -71,9 +72,8 @@ TEST_F(BTreeTest, ManyKeysForceSplits) {
     ASSERT_TRUE(tree_.Insert(IntKey(static_cast<uint64_t>(i)), i * 10).ok())
         << "key " << i;
   }
-  BTreeStats stats = tree_.GetStats();
-  EXPECT_GT(stats.splits, 0);
-  EXPECT_GT(stats.height, 1);
+  EXPECT_GT(MetricReader(tree_).Value("index.splits"), 0);
+  EXPECT_GT(tree_.height(), 1);
   for (int i = 0; i < kKeys; i += 97) {
     Result<uint64_t> v = tree_.Search(IntKey(static_cast<uint64_t>(i)));
     ASSERT_TRUE(v.ok()) << "key " << i;
@@ -279,10 +279,24 @@ TEST(HashIndexTest, UpsertLookupErase) {
   EXPECT_EQ(index.Lookup("k1"), &a);
   EXPECT_EQ(index.Lookup("k3", nullptr), nullptr);
   EXPECT_EQ(index.Size(), 2);
-  EXPECT_TRUE(index.Erase("k1"));
-  EXPECT_FALSE(index.Erase("k1"));
+  EXPECT_TRUE(index.EraseIf("k1", &a));
+  EXPECT_FALSE(index.EraseIf("k1", &a));
   EXPECT_EQ(index.Lookup("k1", nullptr), nullptr);
   EXPECT_EQ(index.Size(), 1);
+}
+
+TEST(HashIndexTest, EraseIfKeepsANewerMapping) {
+  // delete -> reinsert -> purge: the retiring row's erase must not remove
+  // the mapping the reinserted row took over.
+  HashIndex<int*> index(64);
+  int old_row = 1, new_row = 2;
+  index.Upsert("k", &old_row);
+  index.Upsert("k", &new_row);
+  EXPECT_FALSE(index.EraseIf("k", &old_row));
+  EXPECT_EQ(index.Lookup("k", nullptr), &new_row);
+  EXPECT_EQ(index.Size(), 1);
+  EXPECT_TRUE(index.EraseIf("k", &new_row));
+  EXPECT_EQ(index.Size(), 0);
 }
 
 TEST(HashIndexTest, UpsertOverwrites) {
@@ -300,10 +314,10 @@ TEST(HashIndexTest, ContainsAndStats) {
   EXPECT_FALSE(index.Contains("b"));
   (void)index.Lookup("a");
   (void)index.Lookup("b");
-  HashIndexStats s = index.GetStats();
-  EXPECT_EQ(s.inserts, 1);
-  EXPECT_EQ(s.lookups, 2);
-  EXPECT_EQ(s.hits, 1);
+  MetricReader s(index);
+  EXPECT_EQ(index.Size(), 1);
+  EXPECT_EQ(s.Value("index.hash_lookups"), 2);
+  EXPECT_EQ(s.Value("index.hash_hits"), 1);
 }
 
 TEST(HashIndexTest, ManyKeysAcrossBuckets) {
@@ -329,7 +343,7 @@ TEST(HashIndexTest, ConcurrentMixedOps) {
         index.Upsert(IntKey(base + i), i);
       }
       for (uint64_t i = 0; i < 2000; i += 2) {
-        index.Erase(IntKey(base + i));
+        EXPECT_TRUE(index.EraseIf(IntKey(base + i), i));
       }
     });
   }

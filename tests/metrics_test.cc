@@ -137,6 +137,62 @@ TEST(MetricsRegistryTest, UnregisterMatchingUsesWildcards) {
   EXPECT_FALSE(sample.retained);
 }
 
+TEST(MetricsRegistryTest, ValueSumsMatchingCountersAndGauges) {
+  MetricsRegistry registry;
+  ShardedCounter orders0, orders1, stock0, longer_name;
+  AtomicGauge gauge;
+  LatencyHistogram hist;
+  ASSERT_TRUE(registry
+                  .RegisterCounter("partition.rows_packed",
+                                   {"ilm", "orders", "0", ""}, &orders0)
+                  .ok());
+  ASSERT_TRUE(registry
+                  .RegisterCounter("partition.rows_packed",
+                                   {"ilm", "orders", "1", ""}, &orders1)
+                  .ok());
+  ASSERT_TRUE(registry
+                  .RegisterCounter("partition.rows_packed",
+                                   {"ilm", "stock", "0", ""}, &stock0)
+                  .ok());
+  // A name that merely starts with the queried one is a different metric.
+  ASSERT_TRUE(registry
+                  .RegisterCounter("partition.rows_packed_total",
+                                   {"ilm", "orders", "0", ""}, &longer_name)
+                  .ok());
+  ASSERT_TRUE(
+      registry.RegisterGauge("imrs_cache.in_use_bytes", {"imrs"}, &gauge).ok());
+  // Histograms are read through Lookup, never summed.
+  ASSERT_TRUE(registry
+                  .RegisterHistogram("partition.rows_packed",
+                                     {"ilm", "orders", "9", ""}, &hist)
+                  .ok());
+  orders0.Add(5);
+  orders1.Add(7);
+  stock0.Add(11);
+  longer_name.Add(1000);
+  gauge.Set(-3);
+  hist.Record(10);
+
+  // Wildcard sum across tables and partitions.
+  EXPECT_EQ(registry.Value("partition.rows_packed"), 23);
+  EXPECT_EQ(registry.Value("partition.rows_packed", {.table = "orders"}), 12);
+  EXPECT_EQ(registry.Value("partition.rows_packed", {.partition = "0"}), 16);
+  // Exact label match.
+  EXPECT_EQ(registry.Value("partition.rows_packed", {"ilm", "stock", "0", ""}),
+            11);
+  EXPECT_EQ(registry.Value("imrs_cache.in_use_bytes", {"imrs"}), -3);
+
+  // Retired entries keep counting with their final value.
+  registry.UnregisterMatching({.table = "orders", .partition = "1"});
+  orders1.Add(100);  // the source is no longer read
+  EXPECT_EQ(registry.Value("partition.rows_packed", {.table = "orders"}), 12);
+  EXPECT_EQ(registry.Value("partition.rows_packed"), 23);
+
+  // Absent names, and labels nothing carries, read 0.
+  EXPECT_EQ(registry.Value("partition.nope"), 0);
+  EXPECT_EQ(registry.Value("partition.rows_packed", {.table = "item"}), 0);
+}
+
 TEST(MetricsRegistryTest, SnapshotIsDeterministicallyOrdered) {
   MetricsRegistry registry;
   ShardedCounter a, b, c;

@@ -83,7 +83,7 @@ PackOutcome RunWorkload(int pack_workers) {
   int stalled = 0;
   for (int iter = 0; iter < 500 && stalled < 3; ++iter) {
     db->RunIlmTickOnce();
-    const int64_t rows = db->GetStats().pack.rows_packed;
+    const int64_t rows = db->metrics_registry()->Value("pack.rows_packed");
     stalled = rows == last_rows ? stalled + 1 : 0;
     last_rows = rows;
   }
@@ -104,10 +104,9 @@ PackOutcome RunWorkload(int pack_workers) {
     EXPECT_TRUE(db->Commit(txn.get()).ok());
   }
 
-  const DatabaseStats stats = db->GetStats();
   PackOutcome out;
-  out.rows_packed = stats.pack.rows_packed;
-  out.bytes_packed = stats.pack.bytes_packed;
+  out.rows_packed = db->metrics_registry()->Value("pack.rows_packed");
+  out.bytes_packed = db->metrics_registry()->Value("pack.bytes_packed");
   out.rid_map_size = db->rid_map()->Size();
   for (int p = 0; p < kPartitions; ++p) {
     out.partition_rows_packed.push_back(

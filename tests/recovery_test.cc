@@ -221,7 +221,7 @@ TEST_F(RecoveryTest, PackedRowsRecoverToPageStore) {
   }
   db_->RunGcOnce();
   for (int i = 0; i < 8; ++i) db_->RunIlmTickOnce();
-  ASSERT_GT(db_->GetStats().pack.rows_packed, 0);
+  ASSERT_GT(db_->metrics_registry()->Value("pack.rows_packed"), 0);
   const int64_t imrs_rows_before_crash = db_->rid_map()->Size();
 
   Open(true, small);
@@ -669,11 +669,12 @@ class GroupCommitRecoveryTest : public RecoveryTest {
 TEST_F(GroupCommitRecoveryTest, BatchedCommitsAreDurableAcrossCrash) {
   Open(false, GroupCommitOptions());
   CommitOneBatch(0, "batched");
-  DatabaseStats stats = db_->GetStats();
+  obs::MetricsRegistry* metrics = db_->metrics_registry();
+  const obs::MetricLabels imrs_log{.subsystem = "sysimrslogs"};
   // The point of group commit: one device sync covered all 8 commits.
-  EXPECT_EQ(stats.sysimrslogs.syncs, 1);
-  EXPECT_EQ(stats.sysimrslogs_commit.batches, 1);
-  EXPECT_EQ(stats.sysimrslogs_commit.max_batch_groups, kCommitters);
+  EXPECT_EQ(metrics->Value("wal.syncs", imrs_log), 1);
+  EXPECT_EQ(metrics->Value("commit.batches", imrs_log), 1);
+  EXPECT_EQ(metrics->Value("commit.max_batch_groups", imrs_log), kCommitters);
 
   Open(true, ReopenOptions());
   for (int64_t i = 0; i < kCommitters; ++i) {

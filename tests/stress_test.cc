@@ -374,10 +374,13 @@ TEST(GroupCommitStressTest, EightWorkerCommitAbortHammer) {
   EXPECT_GT(aborted.load(), 0);
 
   // The whole point: far fewer device syncs than commits.
-  DatabaseStats stats = db->GetStats();
-  const int64_t syncs = stats.syslogs.syncs + stats.sysimrslogs.syncs;
+  obs::MetricsRegistry* metrics = db->metrics_registry();
+  const int64_t syncs = metrics->Value("wal.syncs");  // both logs
   EXPECT_LT(syncs, committed.load());
-  EXPECT_GT(stats.sysimrslogs_commit.GroupsPerBatch(), 1.0);
+  const obs::MetricLabels imrs_log{.subsystem = "sysimrslogs"};
+  const int64_t batches = metrics->Value("commit.batches", imrs_log);
+  EXPECT_GT(batches, 0);
+  EXPECT_GT(metrics->Value("commit.groups", imrs_log), batches);  // > 1/batch
 
   ValidateReport report;
   Status v = db->ValidateInvariants(&report);
@@ -488,8 +491,7 @@ TEST(TpccStressTest, EightWorkersAgainstParallelPack) {
   db->StopBackground();
 
   // The hammer is pointless if pack never fired.
-  DatabaseStats dbstats = db->GetStats();
-  EXPECT_GT(dbstats.pack.rows_packed, 0);
+  EXPECT_GT(db->metrics_registry()->Value("pack.rows_packed"), 0);
 
   ValidateReport report;
   Status v = db->ValidateInvariants(&report);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metric_reader.h"
 #include "txn/lock_manager.h"
 #include "txn/transaction.h"
 
@@ -16,6 +17,7 @@ namespace {
 class LockManagerTest : public ::testing::Test {
  protected:
   LockManager lm_;
+  MetricReader stats_{lm_};
 };
 
 TEST_F(LockManagerTest, SharedLocksAreCompatible) {
@@ -70,7 +72,7 @@ TEST_F(LockManagerTest, TimeoutReturnsAborted) {
   ASSERT_TRUE(lm_.Acquire(1, 9, LockMode::kExclusive, 10).ok());
   Status s = lm_.Acquire(2, 9, LockMode::kExclusive, 50);
   EXPECT_TRUE(s.IsAborted());
-  EXPECT_GE(lm_.GetStats().timeouts, 1);
+  EXPECT_GE(stats_.Value("locks.timeouts"), 1);
   lm_.Release(1, 9);
 }
 
@@ -84,7 +86,7 @@ TEST_F(LockManagerTest, BlockedAcquireWakesOnRelease) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   lm_.Release(1, 3);
   waiter.join();
-  EXPECT_GE(lm_.GetStats().waits, 1);
+  EXPECT_GE(stats_.Value("locks.waits"), 1);
 }
 
 TEST_F(LockManagerTest, PendingUpgradeBlocksNewSharedGrants) {
@@ -94,13 +96,13 @@ TEST_F(LockManagerTest, PendingUpgradeBlocksNewSharedGrants) {
   // upgrade resolves.
   ASSERT_TRUE(lm_.Acquire(1, 7, LockMode::kShared, 10).ok());
   ASSERT_TRUE(lm_.Acquire(2, 7, LockMode::kShared, 10).ok());
-  const int64_t waits_before = lm_.GetStats().waits;
+  const int64_t waits_before = stats_.Value("locks.waits");
   std::thread upgrader([&] {
     Status s = lm_.Acquire(2, 7, LockMode::kExclusive, 5000);
     EXPECT_TRUE(s.ok());
   });
   // Wait until the upgrade is registered (it counts as a blocked wait).
-  while (lm_.GetStats().waits == waits_before) {
+  while (stats_.Value("locks.waits") == waits_before) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(lm_.TryAcquire(3, 7, LockMode::kShared).IsBusy());
@@ -132,7 +134,7 @@ TEST_F(LockManagerTest, FastPathGrantsAreCounted) {
   lm_.Release(1, 100);
   ASSERT_TRUE(lm_.TryAcquire(2, 100, LockMode::kExclusive).ok());
   lm_.Release(2, 100);
-  EXPECT_GE(lm_.GetStats().fast_grants, 2);
+  EXPECT_GE(stats_.Value("locks.fast_grants"), 2);
 }
 
 TEST_F(LockManagerTest, DistinctLocksDontInterfere) {
@@ -299,11 +301,11 @@ TEST_F(TransactionManagerTest, StatsCountOutcomes) {
   auto c = tm_.Begin();
   ASSERT_TRUE(tm_.Commit(a.get()).ok());
   ASSERT_TRUE(tm_.Abort(b.get()).ok());
-  TransactionManagerStats s = tm_.GetStats();
-  EXPECT_EQ(s.begun, 3);
-  EXPECT_EQ(s.committed, 1);
-  EXPECT_EQ(s.aborted, 1);
-  EXPECT_EQ(s.active, 1);
+  MetricReader s(tm_);
+  EXPECT_EQ(s.Value("txn.begun"), 3);
+  EXPECT_EQ(s.Value("txn.committed"), 1);
+  EXPECT_EQ(s.Value("txn.aborted"), 1);
+  EXPECT_EQ(s.Value("txn.active"), 1);
   ASSERT_TRUE(tm_.Commit(c.get()).ok());
 }
 

@@ -39,6 +39,13 @@ Rules (each scans src/ only; tests and benches may take shortcuts):
                      annotated btrim::Mutex so thread-safety analysis and the
                      lock-order validator cover them.
 
+  stats-getter       A GetStats() declaration or definition returning a type
+                     outside the allowlist. Engine counters have one read
+                     path, the MetricsRegistry (MetricsRegistry::Value);
+                     only per-call or per-run results, fault-plan control
+                     state and the benchmark's DatabaseStats poll may keep a
+                     GetStats() of their own.
+
 Exit status: 0 when clean, 1 when any finding is reported.
 """
 
@@ -116,6 +123,19 @@ RAW_STD_SYNC_ALLOWLIST = {
     "src/common/lock_order.cc",
 }
 
+# Return types a GetStats() in src/ may have. Everything else is a second
+# read path to counters the metrics registry already exports.
+STATS_GETTER_ALLOWLIST = {
+    "DatabaseStats",   # Database::GetStats, polled by perfbench/ set-up
+    "DeviceStats",
+    "HeapFileStats",
+    "FaultPlanStats",
+    "HtapScanStats",
+    "ColdColumnStats",
+    "DriverStats",
+    "TortureStats",
+}
+
 NEW_RE = re.compile(r"\bnew\b")
 # Placement new constructs into already-owned memory (the fragment
 # allocator's row/version blocks) — not an allocation. nothrow-new is.
@@ -124,6 +144,8 @@ PLACEMENT_NEW_RE = re.compile(r"\bnew\s*\((?!\s*std::nothrow)")
 DELETE_RE = re.compile(r"(?<![=\w])\s*\bdelete\b(\s*\[\s*\])?\s+[\w(*]")
 LOCK_GUARD_RE = re.compile(r"std::lock_guard<\s*(SpinLock|RwSpinLock|Mutex)\s*>")
 COMMENT_RE = re.compile(r"^\s*(//|/\*|\*|#)")
+# `ReturnType [Class::]GetStats(` — a declaration or definition, not a call.
+STATS_GETTER_RE = re.compile(r"\b(\w+)\s+(?:\w+::)*GetStats\s*\(")
 
 # Lock-typed member declaration: `[mutable] SpinLock|RwSpinLock|Mutex name`
 # possibly followed by an initializer. Matches declarations only (line starts
@@ -208,6 +230,15 @@ def lint_file(path: Path, findings: list) -> None:
                      "raw new/delete outside the allowlist; use "
                      "std::make_unique or the fragment allocator: "
                      + raw_line.strip()))
+
+        getter = STATS_GETTER_RE.search(line)
+        if (getter and getter.group(1) != "return"
+                and getter.group(1) not in STATS_GETTER_ALLOWLIST):
+            findings.append(
+                (rel, lineno, "stats-getter",
+                 f"GetStats() returning `{getter.group(1)}` duplicates the "
+                 "metrics registry; register the counters and read them "
+                 "with MetricsRegistry::Value: " + raw_line.strip()))
 
         if LOCK_GUARD_RE.search(line):
             findings.append(

@@ -17,7 +17,7 @@
 //     --ops N           operations per client thread   (default 4000)
 //     --keys N          kv keyspace                    (default 20000)
 //     --read-pct N      % of ops as Get                (default 80)
-//     --lanes N         server worker lanes            (default 4)
+//     --lanes N         server event loops             (default 4)
 //
 // JSON: {"hw_threads": H, "results": [{"threads": N, "ops": M, "tps": T,
 //        "p50_us": A, "p99_us": B, "sheds": S, "errors": E}]}

@@ -217,7 +217,7 @@ Status ColdStore::SealLocked(PartitionBuilder* b) {
 
   {
     MutexGuard sg(segments_mu_);
-    // Pending erases MUST reach the file before this segment frame: a
+    // Buffered erases MUST reach the file before this segment frame: a
     // staged row may be a re-placement of an erased rid, and Load replays
     // in file order — an erase frame written after this segment would kill
     // the live re-placed row. Holding segments_mu_ across both appends

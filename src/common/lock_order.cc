@@ -10,7 +10,6 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kIlmTick: return "ilm_tick";
     case LockRank::kGcPass: return "gc_pass";
     case LockRank::kNetServer: return "net_server";
-    case LockRank::kNetConn: return "net_conn";
     case LockRank::kGcDrain: return "gc_drain";
     case LockRank::kIlmRegistry: return "ilm_registry";
     case LockRank::kMetricsRegistry: return "metrics_registry";

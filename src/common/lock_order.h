@@ -33,12 +33,9 @@ enum class LockRank : uint16_t {
   kBackgroundQuiesce = 10,  ///< Database::background_rw_
   kIlmTick = 20,            ///< Database::ilm_tick_mu_
   kGcPass = 30,             ///< Database::gc_pass_mu_
-  kNetServer = 32,          ///< net::Server::conns_mu_ (fd -> connection map;
-                            ///< per-connection locks nest inside it on the
-                            ///< accept/close paths)
-  kNetConn = 34,            ///< net::Connection::mu (write buffer + pending
-                            ///< request queue; leaf toward the engine — no
-                            ///< engine lock is ever taken while it is held)
+  kNetServer = 32,          ///< net::Server::conns_mu_ (fd -> connection map,
+                            ///< taken on accept/close/Stop only; connection
+                            ///< state is confined to its event loop)
 
   // --- Tier 1: per-subsystem fan-out / registries --------------------------
   kGcDrain = 40,          ///< ImrsGc::Shard::drain_mu (one drainer per shard)

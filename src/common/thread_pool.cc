@@ -70,23 +70,6 @@ void ThreadPool::RunTasks(std::vector<std::function<void()>> tasks) {
   }
 }
 
-void ThreadPool::Submit(std::function<void()> fn) {
-  if (threads_.empty()) {
-    fn();
-    tasks_executed_.Inc();
-    return;
-  }
-  {
-    MutexGuard guard(mu_);
-    Task task;
-    task.fn = std::move(fn);
-    task.enqueue_us = NowMicros();
-    task.batch = nullptr;  // fire-and-forget: no completion channel
-    queue_.push_back(std::move(task));
-  }
-  work_cv_.NotifyOne();
-}
-
 void ThreadPool::WorkerLoop(int worker_id) {
   tls_worker_id = worker_id;
   for (;;) {
@@ -103,10 +86,8 @@ void ThreadPool::WorkerLoop(int worker_id) {
     queue_wait_.Record(NowMicros() - task.enqueue_us);
     task.fn();
     tasks_executed_.Inc();
-    if (task.batch != nullptr) {
-      MutexGuard done(mu_);
-      if (--task.batch->remaining == 0) done_cv_.NotifyAll();
-    }
+    MutexGuard done(mu_);
+    if (--task.batch->remaining == 0) done_cv_.NotifyAll();
   }
 }
 

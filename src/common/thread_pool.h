@@ -16,7 +16,8 @@ namespace btrim {
 
 /// Fixed-size worker pool for background fan-out (parallel pack cycles, GC
 /// shard drains). Shared by every background subsystem of one Database so
-/// the operator reasons about exactly one knob (`pack_workers`).
+/// the operator reasons about exactly one knob (`pack_workers`). Work
+/// enters only through the RunTasks barrier.
 ///
 /// Semantics:
 ///  - `workers <= 1` creates no threads at all: RunTasks executes every
@@ -45,13 +46,6 @@ class ThreadPool {
   /// Runs `tasks` to completion. Parallel across pool workers when they
   /// exist, inline on the caller otherwise.
   void RunTasks(std::vector<std::function<void()>> tasks);
-
-  /// Fire-and-forget: enqueues one task and returns immediately (inline
-  /// mode runs it on the caller before returning). No completion channel —
-  /// callers needing one build it into the task (the net server signals
-  /// per-connection state under its own lock). Tasks queued at destruction
-  /// time still run: the destructor drains the queue before joining.
-  void Submit(std::function<void()> fn);
 
   /// Executing lane of the current thread: 0 = not a pool worker.
   static int CurrentWorkerId();

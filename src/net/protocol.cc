@@ -261,11 +261,13 @@ Status ParseResponse(Slice payload, Response* out) {
         break;
       }
       case OpCode::kTpcc: {
-        uint8_t committed;
-        uint8_t user_abort;
+        uint8_t committed = 0;
+        uint8_t user_abort = 0;
         ok = c.ReadU8(&committed) && c.ReadU8(&user_abort);
-        out->committed = committed != 0;
-        out->user_abort = user_abort != 0;
+        if (ok) {
+          out->committed = committed != 0;
+          out->user_abort = user_abort != 0;
+        }
         break;
       }
       default:

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -46,8 +47,10 @@ Result<std::unique_ptr<Server>> Server::Start(Database* db,
                                               ServerOptions options) {
   auto server = std::make_unique<Server>(db, std::move(options));
   BTRIM_RETURN_IF_ERROR(server->Init());
-  server->lanes_ = std::make_unique<ThreadPool>(server->options_.worker_lanes);
-  server->loop_ = std::thread([s = server.get()] { s->EventLoop(); });
+  for (Loop& loop : server->loops_) {
+    loop.thread =
+        std::thread([s = server.get(), l = &loop] { s->EventLoop(l); });
+  }
   return server;
 }
 
@@ -77,20 +80,27 @@ Status Server::Init() {
   }
   port_ = ntohs(bound.sin_port);
 
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) return Errno("epoll_create1");
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd_ < 0) return Errno("eventfd");
-
+  loops_ = std::vector<Loop>(
+      static_cast<size_t>(std::max(1, options_.worker_lanes)));
+  for (Loop& loop : loops_) {
+    loop.epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+    if (loop.epoll_fd < 0) return Errno("epoll_create1");
+    loop.wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (loop.wake_fd < 0) return Errno("eventfd");
+    // Epoll data tags: the loop itself marks its wake fd, &listen_fd_
+    // the listen socket, anything else is a Conn.
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.ptr = &loop;
+    if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.wake_fd, &ev) != 0) {
+      return Errno("epoll_ctl(wake)");
+    }
+  }
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
+  ev.data.ptr = &listen_fd_;
+  if (::epoll_ctl(loops_[0].epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
     return Errno("epoll_ctl(listen)");
-  }
-  ev.data.fd = wake_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
-    return Errno("epoll_ctl(wake)");
   }
   return RegisterMetrics();
 }
@@ -131,35 +141,30 @@ void Server::Stop() {
   bool expected = false;
   if (!stopped_.compare_exchange_strong(expected, true)) return;
   stopping_.store(true, std::memory_order_release);
-  if (wake_fd_ >= 0) {
+  for (Loop& loop : loops_) {
+    if (loop.wake_fd < 0) continue;  // Init failed before creating it
     uint64_t one = 1;
-    ssize_t r = ::write(wake_fd_, &one, sizeof(one));
+    ssize_t r = ::write(loop.wake_fd, &one, sizeof(one));
     (void)r;
   }
-  if (loop_.joinable()) loop_.join();
-  // Drains every queued DrainConn task, then joins the lanes: no request
-  // that was parsed before the loop exited is dropped unanswered.
-  lanes_.reset();
+  // A loop answers everything it parsed before it looks at stopping_
+  // again, so joining the loops drops no parsed request unanswered.
+  for (Loop& loop : loops_) {
+    if (loop.thread.joinable()) loop.thread.join();
+  }
 
-  std::map<int, std::shared_ptr<Conn>> conns;
+  std::map<int, std::unique_ptr<Conn>> conns;
   {
     MutexGuard guard(conns_mu_);
     conns.swap(conns_);
   }
-  for (auto& [fd, conn] : conns) {
-    (void)fd;
-    conn->dead.store(true, std::memory_order_release);
-    active_conns_.Sub(1);
-  }
+  active_conns_.Sub(static_cast<int64_t>(conns.size()));
   conns.clear();  // destructors close the sockets
 
-  if (epoll_fd_ >= 0) {
-    ::close(epoll_fd_);
-    epoll_fd_ = -1;
-  }
-  if (wake_fd_ >= 0) {
-    ::close(wake_fd_);
-    wake_fd_ = -1;
+  for (Loop& loop : loops_) {
+    if (loop.epoll_fd >= 0) ::close(loop.epoll_fd);
+    if (loop.wake_fd >= 0) ::close(loop.wake_fd);
+    loop.epoll_fd = loop.wake_fd = -1;
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -171,40 +176,36 @@ void Server::Stop() {
   db_->metrics_registry()->UnregisterMatching(labels);
 }
 
-void Server::EventLoop() {
+void Server::EventLoop(Loop* loop) {
   std::vector<epoll_event> events(64);
   while (!stopping_.load(std::memory_order_acquire)) {
     const int n =
-        ::epoll_wait(epoll_fd_, events.data(),
+        ::epoll_wait(loop->epoll_fd, events.data(),
                      static_cast<int>(events.size()), /*timeout=*/-1);
     if (n < 0) {
       if (errno == EINTR) continue;
       return;
     }
     for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == listen_fd_) {
+      void* const tag = events[i].data.ptr;
+      if (tag == &listen_fd_) {
         AcceptReady();
         continue;
       }
-      if (fd == wake_fd_) {
+      if (tag == loop) {
         uint64_t drained;
-        ssize_t r = ::read(wake_fd_, &drained, sizeof(drained));
+        ssize_t r = ::read(loop->wake_fd, &drained, sizeof(drained));
         (void)r;
         continue;
       }
-      std::shared_ptr<Conn> conn;
-      {
-        MutexGuard guard(conns_mu_);
-        auto it = conns_.find(fd);
-        if (it != conns_.end()) conn = it->second;
-      }
-      if (conn == nullptr) continue;
+      // An fd appears at most once per epoll_wait batch, and only this
+      // thread closes the conns it owns, so the pointer is live here.
+      Conn* conn = static_cast<Conn*>(tag);
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
         CloseConn(conn);
         continue;
       }
-      if ((events[i].events & EPOLLOUT) != 0) WriteReady(conn);
+      if ((events[i].events & EPOLLOUT) != 0) Flush(conn);
       if ((events[i].events & EPOLLIN) != 0) ReadReady(conn);
     }
   }
@@ -220,33 +221,35 @@ void Server::AcceptReady() {
     }
     int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Conn>(fd, next_conn_id_++);
+    const uint64_t id = next_conn_id_++;
+    auto owned = std::make_unique<Conn>(fd, id, &loops_[id % loops_.size()]);
+    Conn* conn = owned.get();
     {
       MutexGuard guard(conns_mu_);
-      conns_[fd] = conn;
+      conns_[fd] = std::move(owned);
     }
+    active_conns_.Add(1);
+    // From here on only the owning loop touches conn: epoll_ctl publishes
+    // it to that loop's epoll_wait.
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      MutexGuard guard(conns_mu_);
-      conns_.erase(fd);
+    ev.data.ptr = conn;
+    if (::epoll_ctl(conn->loop->epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      CloseConn(conn);  // never registered, so no loop can see it
       continue;
     }
     accepted_conns_.Inc();
-    active_conns_.Add(1);
   }
 }
 
-void Server::ReadReady(const std::shared_ptr<Conn>& conn) {
-  if (conn->dead.load(std::memory_order_acquire)) return;
+void Server::ReadReady(Conn* conn) {
   char buf[64 * 1024];
   bool peer_closed = false;
   for (;;) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       bytes_in_.Add(n);
-      if (!conn->read_broken) conn->in.append(buf, static_cast<size_t>(n));
+      if (!conn->closing) conn->in.append(buf, static_cast<size_t>(n));
       continue;
     }
     if (n == 0) {
@@ -259,97 +262,67 @@ void Server::ReadReady(const std::shared_ptr<Conn>& conn) {
     break;
   }
 
-  std::vector<Pending> batch;
   size_t off = 0;
-  while (!conn->read_broken) {
+  while (!conn->closing) {
     size_t frame_len = 0;
     Slice payload;
     const FrameGate gate = TryExtractFrame(
         conn->in.data() + off, conn->in.size() - off, &frame_len, &payload);
     if (gate == FrameGate::kNeedMore) break;
-    Pending p;
-    p.enqueue_us = NowMicros();
-    if (gate == FrameGate::kTooBig) {
-      protocol_errors_.Inc();
-      p.broken = true;
-      p.error = "oversized frame";
-      conn->read_broken = true;
-      batch.push_back(std::move(p));
-      break;
-    }
+    const int64_t parsed_us = NowMicros();
+    queue_depth_.Add(1);
+    Request req;
+    const Status parsed = gate == FrameGate::kTooBig
+                              ? Status::InvalidArgument("oversized frame")
+                              : ParseRequest(payload, &req);
     off += frame_len;
-    Status s = ParseRequest(payload, &p.req);
-    if (!s.ok()) {
-      protocol_errors_.Inc();
-      p.broken = true;
-      p.error = s.message();
-      conn->read_broken = true;
-      batch.push_back(std::move(p));
-      break;
+    AppendResponseFrame(&conn->out, Serve(conn, req, parsed));
+    request_latency_.Record(NowMicros() - parsed_us);
+    queue_depth_.Sub(1);
+    if (conn->out.size() - conn->out_off > options_.max_conn_outbuf) {
+      Flush(conn);
+      if (conn->out.size() - conn->out_off > options_.max_conn_outbuf) {
+        // Backpressure of last resort: the reader fell hopelessly behind.
+        // The loop reaps the connection on the HUP that follows.
+        conn->out.clear();
+        conn->out_off = 0;
+        conn->closing = true;
+      }
     }
-    requests_.Inc();
-    requests_by_op_[OpIndex(static_cast<uint8_t>(p.req.op))].Inc();
-    batch.push_back(std::move(p));
   }
   if (off > 0) conn->in.erase(0, off);
 
-  if (!batch.empty()) {
-    for (Pending& p : batch) {
-      queue_depth_.Add(1);
-      // Control ops (handshake, liveness, sampler marks) are never shed —
-      // backpressure applies to the data path.
-      const bool exempt = p.broken || p.req.op == OpCode::kHello ||
-                          p.req.op == OpCode::kPing ||
-                          p.req.op == OpCode::kMark;
-      if (!exempt &&
-          queue_depth_.Load() > static_cast<int64_t>(options_.max_inflight)) {
-        p.shed = true;
-        shed_.Inc();
-      }
-    }
-    bool schedule = false;
-    {
-      MutexGuard guard(conn->mu);
-      for (Pending& p : batch) conn->pending.push_back(std::move(p));
-      if (!conn->worker_active) {
-        conn->worker_active = true;
-        schedule = true;
-      }
-    }
-    if (schedule) {
-      // Submit outside conn->mu: with worker_lanes <= 1 the task runs
-      // inline right here and re-locks it.
-      std::shared_ptr<Conn> c = conn;
-      lanes_->Submit([this, c] { DrainConn(c); });
-    }
-  }
-
+  Flush(conn);
   if (peer_closed) CloseConn(conn);
 }
 
-void Server::WriteReady(const std::shared_ptr<Conn>& conn) {
-  MutexGuard guard(conn->mu);
-  FlushLocked(conn.get());
+Response Server::Serve(Conn* conn, const Request& req, const Status& parsed) {
+  Response resp;
+  resp.op = req.op;
+  if (!parsed.ok()) {
+    protocol_errors_.Inc();
+    resp.code = Status::Code::kInvalidArgument;
+    resp.message = parsed.message();
+    conn->closing = true;  // the stream cannot be re-framed
+    return resp;
+  }
+  requests_.Inc();
+  requests_by_op_[OpIndex(static_cast<uint8_t>(req.op))].Inc();
+  // Control ops (handshake, liveness, sampler marks) are never shed —
+  // backpressure applies to the data path.
+  const bool exempt = req.op == OpCode::kHello || req.op == OpCode::kPing ||
+                      req.op == OpCode::kMark;
+  if (!exempt &&
+      queue_depth_.Load() > static_cast<int64_t>(options_.max_inflight)) {
+    shed_.Inc();
+    resp.code = Status::Code::kBusy;
+    resp.message = "admission control: too many requests in flight";
+    return resp;
+  }
+  return Execute(conn, req);
 }
 
-void Server::CloseConn(const std::shared_ptr<Conn>& conn) {
-  {
-    MutexGuard guard(conns_mu_);
-    if (conns_.erase(conn->fd) == 0) return;  // already reaped
-  }
-  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-  conn->dead.store(true, std::memory_order_release);
-  active_conns_.Sub(1);
-  // The fd closes when the last reference (possibly a still-draining
-  // worker) releases the Conn.
-}
-
-void Server::FlushLocked(Conn* conn) {
-  if (conn->dead.load(std::memory_order_acquire)) {
-    conn->out.clear();
-    conn->out_off = 0;
-    return;
-  }
+void Server::Flush(Conn* conn) {
   while (conn->out_off < conn->out.size()) {
     const ssize_t n =
         ::send(conn->fd, conn->out.data() + conn->out_off,
@@ -368,8 +341,8 @@ void Server::FlushLocked(Conn* conn) {
         conn->want_write = true;
         epoll_event ev{};
         ev.events = EPOLLIN | EPOLLOUT;
-        ev.data.fd = conn->fd;
-        (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
+        ev.data.ptr = conn;
+        (void)::epoll_ctl(conn->loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
       }
       return;
     }
@@ -386,60 +359,24 @@ void Server::FlushLocked(Conn* conn) {
     conn->want_write = false;
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = conn->fd;
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
+    ev.data.ptr = conn;
+    (void)::epoll_ctl(conn->loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
   }
   if (conn->closing) (void)::shutdown(conn->fd, SHUT_RDWR);
 }
 
-void Server::DrainConn(std::shared_ptr<Conn> conn) {
-  for (;;) {
-    Pending item;
-    {
-      MutexGuard guard(conn->mu);
-      if (conn->pending.empty()) {
-        conn->worker_active = false;
-        return;
-      }
-      item = std::move(conn->pending.front());
-      conn->pending.pop_front();
-    }
-
-    Response resp;
-    if (item.broken) {
-      resp.op = item.req.op;
-      resp.code = Status::Code::kInvalidArgument;
-      resp.message = item.error;
-      conn->close_after = true;
-    } else if (item.shed) {
-      resp.op = item.req.op;
-      resp.code = Status::Code::kBusy;
-      resp.message = "admission control: too many requests in flight";
-    } else {
-      resp = Execute(conn.get(), item.req);
-    }
-    request_latency_.Record(NowMicros() - item.enqueue_us);
-    queue_depth_.Sub(1);
-    const bool close_after = conn->close_after;
-    conn->close_after = false;
-
-    {
-      MutexGuard guard(conn->mu);
-      if (conn->dead.load(std::memory_order_acquire)) continue;
-      AppendResponseFrame(&conn->out, resp);
-      if (close_after) conn->closing = true;
-      if (conn->out.size() - conn->out_off > options_.max_conn_outbuf) {
-        // Backpressure of last resort: the reader fell hopelessly behind.
-        conn->out.clear();
-        conn->out_off = 0;
-        conn->want_write = false;
-        conn->dead.store(true, std::memory_order_release);
-        (void)::shutdown(conn->fd, SHUT_RDWR);
-        continue;
-      }
-      FlushLocked(conn.get());
-    }
+void Server::CloseConn(Conn* conn) {
+  (void)::epoll_ctl(conn->loop->epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
+  std::unique_ptr<Conn> doomed;
+  {
+    MutexGuard guard(conns_mu_);
+    auto it = conns_.find(conn->fd);
+    doomed = std::move(it->second);
+    conns_.erase(it);
   }
+  active_conns_.Sub(1);
+  // doomed's destructor closes the socket and aborts any open transaction,
+  // outside conns_mu_.
 }
 
 Response Server::Execute(Conn* conn, const Request& req) {
@@ -452,7 +389,7 @@ Response Server::Execute(Conn* conn, const Request& req) {
 
   if (!conn->handshaken && req.op != OpCode::kHello) {
     set(Status::InvalidArgument("handshake required"));
-    conn->close_after = true;
+    conn->closing = true;
     return resp;
   }
   if (conn->tenant_requests != nullptr) conn->tenant_requests->Inc();
@@ -465,12 +402,12 @@ Response Server::Execute(Conn* conn, const Request& req) {
       }
       if (req.magic != kMagic) {
         set(Status::InvalidArgument("bad magic"));
-        conn->close_after = true;
+        conn->closing = true;
         break;
       }
       if (req.version != kProtocolVersion) {
         set(Status::NotSupported("unsupported protocol version"));
-        conn->close_after = true;
+        conn->closing = true;
         break;
       }
       conn->handshaken = true;

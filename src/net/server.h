@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,7 +14,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "engine/session.h"
 #include "net/protocol.h"
 #include "tpcc/txns.h"
@@ -31,13 +29,14 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;  ///< 0 = ephemeral (read back via Server::port())
 
-  /// Worker lanes executing parsed requests (a private btrim::ThreadPool).
-  /// <= 1 runs requests inline on the event-loop thread — the determinism
-  /// anchor for tests, same convention as pack_workers.
+  /// Event loops, each owning the connections assigned to it and running
+  /// their requests to completion (DESIGN.md Sec. 16.2). <= 1 means one
+  /// loop that also accepts — the determinism anchor for tests, same
+  /// convention as pack_workers.
   int worker_lanes = 4;
 
-  /// Admission control: parsed requests allowed in flight (queued +
-  /// executing) across all connections before new ones are shed with
+  /// Admission control: parsed requests allowed in flight (parsed, not
+  /// yet answered) across all connections before new ones are shed with
   /// kBusy. Handshake and ping are exempt (cheap control ops, and a
   /// client must always be able to identify itself). 0 sheds everything
   /// but control ops — the deterministic-shed test mode.
@@ -55,21 +54,22 @@ struct ServerOptions {
   uint64_t seed = 1;
 };
 
-/// The networked front-end (DESIGN.md Sec. 16): one epoll event-loop
-/// thread owns all sockets (accept, read, frame assembly, write flush);
-/// parsed requests are handed to the worker lanes, which execute them
-/// against an engine Session and append framed replies to the
-/// connection's write buffer. Per-connection requests run strictly in
-/// order on one lane at a time, so pipelined clients get in-order replies;
-/// different connections fan out across lanes.
+/// The networked front-end (DESIGN.md Sec. 16): `worker_lanes` epoll event
+/// loops. Loop 0 also accepts, and hands connection `id` to loop
+/// `id % loops`. A loop is the only thread that ever touches the
+/// connections it owns: it reads, parses, executes each request against
+/// the connection's engine Session, appends the reply, and flushes once
+/// per read batch. Pipelined requests therefore reply in order, and
+/// different connections run concurrently only when they sit on
+/// different loops.
 ///
-/// Locking (DESIGN.md Sec. 12): conns_mu_ (kNetServer) guards the fd map;
-/// each connection's mu (kNetConn) guards its pending queue and write
-/// buffer. Neither is ever held across an engine call, and all metric
-/// sources are atomic-backed, so registry snapshots never touch a net lock.
+/// Locking (DESIGN.md Sec. 12): conns_mu_ (kNetServer) guards the
+/// connection map, taken only on accept, close, and Stop. Connection state
+/// is confined to its loop thread and needs no lock; all metric sources
+/// are atomic-backed, so registry snapshots never touch a net lock.
 class Server {
  public:
-  /// Binds, registers net.* metrics, and starts the loop + lanes.
+  /// Binds, registers net.* metrics, and starts the loops.
   static Result<std::unique_ptr<Server>> Start(Database* db,
                                                ServerOptions options);
 
@@ -78,8 +78,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Stops accepting, drains queued requests, joins every thread, closes
-  /// every connection, and retires the net.* metrics. Idempotent.
+  /// Stops accepting, answers every parsed request, joins every loop,
+  /// closes every connection, and retires the net.* metrics. Idempotent.
   void Stop();
 
   /// Bound port (after Start).
@@ -95,62 +95,54 @@ class Server {
   Server(Database* db, ServerOptions options);
 
  private:
-  /// One parsed (or rejected-at-parse) request awaiting execution.
-  struct Pending {
-    Request req;
-    bool shed = false;    ///< admission control said kBusy
-    bool broken = false;  ///< protocol error: reply error, then drop conn
-    std::string error;    ///< broken only: parse failure detail
-    int64_t enqueue_us = 0;
+  struct Loop {
+    int epoll_fd = -1;
+    int wake_fd = -1;  ///< eventfd: Stop() wakes the loop through it
+    std::thread thread;
   };
 
+  /// One client connection. Every field past `loop` is touched only on
+  /// the owning loop's thread (accept hands it over through epoll_ctl).
   struct Conn {
-    explicit Conn(int fd, uint64_t id) : fd(fd), id(id) {}
+    Conn(int fd, uint64_t id, Loop* loop) : fd(fd), id(id), loop(loop) {}
     ~Conn();
 
     const int fd;
     const uint64_t id;
-    std::atomic<bool> dead{false};
+    Loop* const loop;
 
-    /// Read-side state: event-loop thread only, no lock.
     std::string in;
-    bool read_broken = false;  ///< stop parsing after a protocol error
+    std::string out;
+    size_t out_off = 0;
+    bool want_write = false;  ///< EPOLLOUT armed
+    /// Parse nothing more and shut the socket down once `out` drains: set
+    /// by a fatal reply, or with `out` dropped when the reader fell behind.
+    bool closing = false;
 
-    Mutex mu{LockRank::kNetConn, "net.conn"};
-    std::deque<Pending> pending BTRIM_GUARDED_BY(mu);
-    bool worker_active BTRIM_GUARDED_BY(mu) = false;
-    std::string out BTRIM_GUARDED_BY(mu);
-    size_t out_off BTRIM_GUARDED_BY(mu) = 0;
-    bool want_write BTRIM_GUARDED_BY(mu) = false;  ///< EPOLLOUT armed
-    bool closing BTRIM_GUARDED_BY(mu) = false;     ///< close once out drains
-
-    /// Execution-side state: touched only by the (single) active drain
-    /// worker; handed off between lanes through pending's mutex.
     bool handshaken = false;
     std::string tenant;
     std::unique_ptr<Session> session;
     std::unique_ptr<tpcc::TpccRandom> rnd;
     ShardedCounter* tenant_requests = nullptr;  ///< owned by Server
-    bool close_after = false;  ///< Execute() requested a post-reply close
   };
 
   Status Init();
   Status RegisterMetrics();
 
-  void EventLoop();
+  void EventLoop(Loop* loop);
   void AcceptReady();
-  void ReadReady(const std::shared_ptr<Conn>& conn);
-  void WriteReady(const std::shared_ptr<Conn>& conn);
-  void CloseConn(const std::shared_ptr<Conn>& conn);
-
-  /// Executes one connection's pending queue to exhaustion (worker lane).
-  void DrainConn(std::shared_ptr<Conn> conn);
+  /// Reads what arrived, runs every complete request to completion, and
+  /// flushes the replies.
+  void ReadReady(Conn* conn);
+  /// Builds the reply to one parsed request: its parse failure, a shed,
+  /// or the result of executing it.
+  Response Serve(Conn* conn, const Request& req, const Status& parsed);
   Response Execute(Conn* conn, const Request& req);
   Response ExecuteTpcc(Conn* conn, const Request& req);
-
-  /// Flushes as much of conn->out as the socket accepts; arms/disarms
-  /// EPOLLOUT and performs the deferred close when `closing` drains.
-  void FlushLocked(Conn* conn) BTRIM_REQUIRES(conn->mu);
+  /// Sends as much of conn->out as the socket accepts; arms/disarms
+  /// EPOLLOUT and shuts the socket down once a `closing` conn drains.
+  void Flush(Conn* conn);
+  void CloseConn(Conn* conn);
 
   /// Lazily creates + registers the per-tenant request counter.
   ShardedCounter* TenantCounter(const std::string& tenant);
@@ -161,19 +153,15 @@ class Server {
   const ServerOptions options_;
 
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
   int port_ = 0;
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};
-  std::thread loop_;
-  std::unique_ptr<ThreadPool> lanes_;
 
-  uint64_t next_conn_id_ = 1;  ///< event-loop thread only
+  uint64_t next_conn_id_ = 1;  ///< loops_[0] thread only
 
   mutable Mutex conns_mu_{LockRank::kNetServer, "net.server.conns"};
-  std::map<int, std::shared_ptr<Conn>> conns_ BTRIM_GUARDED_BY(conns_mu_);
+  std::map<int, std::unique_ptr<Conn>> conns_ BTRIM_GUARDED_BY(conns_mu_);
 
   mutable Mutex tenants_mu_{LockRank::kNetServer, "net.server.tenants"};
   std::map<std::string, std::unique_ptr<ShardedCounter>> tenants_
@@ -192,6 +180,10 @@ class Server {
   LatencyHistogram request_latency_;
   ShardedCounter tpcc_committed_;
   ShardedCounter tpcc_user_aborts_;
+
+  /// Sized once by Init; loops_[0] accepts. Declared last: the loop
+  /// threads use every member above.
+  std::vector<Loop> loops_;
 };
 
 }  // namespace net

@@ -46,7 +46,7 @@ enum class LockMode : uint8_t { kShared, kExclusive };
 /// conclude they own the entry.
 ///
 /// Shared requests, contended requests and upgrades take the classic
-/// striped mutex + condvar slow path. Pending shared->exclusive upgrades
+/// striped mutex + condvar slow path. Waiting shared->exclusive upgrades
 /// are starvation-proof: once a holder is waiting to upgrade, new shared
 /// requests from other transactions queue behind it instead of perpetually
 /// re-populating the read set.

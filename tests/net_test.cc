@@ -10,9 +10,11 @@
 // error reply or a dropped connection, never a crash (ASan runs this
 // suite) — and the listener stays healthy for the next connection.
 
+#include <chrono>
 #include <cstdint>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -305,11 +307,11 @@ TEST(Protocol, FrameGateBounds) {
 
 class ServerTest : public ::testing::Test {
  protected:
-  void Open() {
+  void Open(int lock_timeout_ms = 50) {
     DatabaseOptions options;
     options.buffer_cache_frames = 2048;
     options.imrs_cache_bytes = 16u << 20;
-    options.lock_timeout_ms = 50;
+    options.lock_timeout_ms = lock_timeout_ms;
     Result<std::unique_ptr<Database>> opened = Database::Open(options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     db_ = std::move(*opened);
@@ -496,28 +498,123 @@ TEST_F(ServerTest, AdmissionControlShedsDeterministically) {
   EXPECT_GT(server_->sheds(), 0);
 }
 
-TEST_F(ServerTest, PipelinedRequestsReplyInOrder) {
+// Several connections pipeline at once, on one loop and spread over
+// several: each must get its own replies, in its own order.
+class PipelineTest : public ServerTest,
+                     public ::testing::WithParamInterface<int> {};
+
+TEST_P(PipelineTest, PipelinedRequestsReplyInOrder) {
   Open();
-  StartServer();
+  ServerOptions opts;
+  opts.worker_lanes = GetParam();
+  StartServer(opts);
+  constexpr int kConns = 6;
+  constexpr int kN = 20;
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int c = 0; c < kConns; ++c) {
+    clients.push_back(MustConnect());
+    ASSERT_NE(clients.back(), nullptr);
+  }
+  for (int c = 0; c < kConns; ++c) {
+    std::string burst;
+    for (int i = 0; i < kN; ++i) {
+      Request req;
+      req.op = OpCode::kGet;
+      req.table = "kv";
+      req.key = (c * kN + i) % 100;  // keys 0..99 are seeded
+      AppendRequestFrame(&burst, req);
+    }
+    ASSERT_TRUE(clients[c]->SendBytes(burst.data(), burst.size()).ok());
+  }
+  for (int c = 0; c < kConns; ++c) {
+    for (int i = 0; i < kN; ++i) {
+      Result<Response> resp = clients[c]->RecvResponse();
+      ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+      ASSERT_TRUE(resp->ok());
+      EXPECT_EQ(resp->value, "seed" + std::to_string((c * kN + i) % 100))
+          << c << "/" << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Loops, PipelineTest, ::testing::Values(1, 4));
+
+// Connection ids 1 and 2 land on different loops of two, so B's lock wait
+// must not stall A: A's Commit releases the row and B's Put then succeeds.
+// On one shared loop B would hold the loop until its lock timeout.
+TEST_F(ServerTest, ConnectionsOnDifferentLoopsRunConcurrently) {
+  Open(/*lock_timeout_ms=*/10000);
+  ServerOptions opts;
+  opts.worker_lanes = 2;
+  StartServer(opts);
+  std::unique_ptr<Client> a = MustConnect();
+  std::unique_ptr<Client> b = MustConnect();
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+
+  ASSERT_TRUE(a->Begin()->ok());
+  ASSERT_TRUE(a->Put("kv", 7, "from-a")->ok());
+
+  obs::MetricsRegistry* reg = db_->metrics_registry();
+  const int64_t waits_before = reg->Value("locks.waits");
+  Request put;
+  put.op = OpCode::kPut;
+  put.table = "kv";
+  put.key = 7;
+  put.value = "from-b";
+  std::string frame;
+  AppendRequestFrame(&frame, put);
+  ASSERT_TRUE(b->SendBytes(frame.data(), frame.size()).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (reg->Value("locks.waits") == waits_before) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "B's Put never reached the lock wait";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  Result<Response> commit = a->Commit();
+  ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+  EXPECT_TRUE(commit->ok()) << commit->message;
+  Result<Response> b_put = b->RecvResponse();
+  ASSERT_TRUE(b_put.ok()) << b_put.status().ToString();
+  EXPECT_TRUE(b_put->ok()) << b_put->message;
+  EXPECT_EQ(a->Get("kv", 7)->value, "from-b");
+}
+
+// A client that pipelines scans and never reads its replies fills the
+// socket buffers; once its unsent replies pass max_conn_outbuf the server
+// drops it instead of buffering without bound.
+TEST_F(ServerTest, ReaderThatFallsBehindIsDisconnected) {
+  Open();
+  ServerOptions opts;
+  opts.max_conn_outbuf = 64u << 10;
+  StartServer(opts);
   std::unique_ptr<Client> client = MustConnect();
   ASSERT_NE(client, nullptr);
+  EXPECT_EQ(server_->active_conns(), 1);
 
+  Request scan;
+  scan.op = OpCode::kScan;
+  scan.table = "kv";
+  scan.key = 0;
+  scan.limit = 100;
   std::string burst;
-  constexpr int kN = 20;
-  for (int i = 0; i < kN; ++i) {
-    Request req;
-    req.op = OpCode::kGet;
-    req.table = "kv";
-    req.key = i;
-    AppendRequestFrame(&burst, req);
+  for (int i = 0; i < 20000; ++i) AppendRequestFrame(&burst, scan);
+  // Fails partway once the server drops the connection; either way the
+  // replies far exceed what the socket buffers can hold.
+  (void)client->SendBytes(burst.data(), burst.size());
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->active_conns() != 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the non-reading client was never disconnected";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  ASSERT_TRUE(client->SendBytes(burst.data(), burst.size()).ok());
-  for (int i = 0; i < kN; ++i) {
-    Result<Response> resp = client->RecvResponse();
-    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-    ASSERT_TRUE(resp->ok());
-    EXPECT_EQ(resp->value, "seed" + std::to_string(i)) << i;
-  }
+  std::unique_ptr<Client> next = MustConnect();
+  ASSERT_NE(next, nullptr);
+  EXPECT_TRUE(next->Ping()->ok());
 }
 
 TEST_F(ServerTest, HandshakeRequiredAndValidated) {

@@ -5,7 +5,8 @@
 //   ./build/tools/btrim_server [options]
 //     --host H                listen address            (default 127.0.0.1)
 //     --port N                listen port, 0=ephemeral  (default 7421)
-//     --lanes N               worker lanes              (default 4)
+//     --lanes N               event loops, each running its connections'
+//                             requests to completion    (default 4)
 //     --max-inflight N        admission-control cap     (default 256)
 //     --warehouses N          TPC-C scale, 0=no TPC-C   (default 1)
 //     --kv-rows N             rows preloaded into `kv`  (default 10000)

@@ -444,7 +444,7 @@ def check_server(current, baseline, errors):
 
     # Gate 2: within-run concurrency sanity. Four client threads must keep
     # at least half of single-client throughput — a collapse here means the
-    # lanes serialize (e.g. a lock held across engine calls).
+    # event loops serialize (e.g. a lock held across engine calls).
     one = cells.get(1)
     four = cells.get(4)
     if one is None or four is None:

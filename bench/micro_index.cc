@@ -1,5 +1,5 @@
 // micro_index — foreground index-path scaling microbenchmark for the
-// optimistic-lock-coupling B+Tree, plus a TPC-C 1-vs-8-worker floor.
+// latch-coupling B+Tree, plus a TPC-C 1-vs-8-worker floor.
 //
 // The index cells drive a raw BTree over a resident BufferCache (no txn
 // layer, no WAL): preload N sequential keys single-threaded, then run a
@@ -8,7 +8,8 @@
 // ranges above the preload, splitting leaves under each other), mixed
 // (alternating search/insert). Reads take only shared frame latches on
 // the descent, so point_read throughput must scale with cores; that is
-// the property the OLC rewrite exists to deliver and what CI gates.
+// the property a tree without a tree-wide lock exists to deliver and what
+// CI gates.
 //
 // The TPC-C cells run the full engine (locks, WAL, IMRS) at 1 and 8
 // workers; the gate is the blunt floor "8 workers must not be slower

@@ -40,9 +40,7 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kAllocShard: return "alloc_shard";
     case LockRank::kCheckpointStash: return "checkpoint_stash";
     case LockRank::kGcDeferred: return "gc_deferred";
-    case LockRank::kGcReclaimHooks: return "gc_reclaim_hooks";
     case LockRank::kIlmLastCycle: return "ilm_last_cycle";
-    case LockRank::kSamplerThread: return "sampler_thread";
     case LockRank::kSamplerRing: return "sampler_ring";
     case LockRank::kTestA: return "test_a";
     case LockRank::kTestB: return "test_b";

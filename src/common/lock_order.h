@@ -74,11 +74,11 @@ enum class LockRank : uint16_t {
   // is a try-lock asserted free, which records no ordering edge (see
   // OnTryAcquire). kIndexFreeList ranks inside kPageFrame because split
   // writers allocate pages while holding the leaf latch.
-  kBTreeRoot = 180,      ///< reserved (tree_lock_ retired by the OLC rebuild;
-                         ///< the root pointer is now a lock-free atomic)
+  kBTreeRoot = 180,      ///< reserved (tree_lock_ is gone; the root pointer
+                         ///< is an atomic re-checked under the root latch)
   kPageFrame = 190,      ///< BufferCache frame latches (latch-coupled in-rank)
   kBufferMap = 200,      ///< BufferCache::Shard::mu (sharded page map)
-  kIndexFreeList = 205,  ///< BTree::pages_mu_ (retired/free page lists)
+  kIndexFreeList = 205,  ///< BTree::pages_mu_ (free page list)
 
   // --- Tier 5: durability internals -----------------------------------------
   kGroupCommit = 210,     ///< GroupCommitter::mu_
@@ -92,10 +92,7 @@ enum class LockRank : uint16_t {
                           ///< pre-image side buffer; leaf — no lock is ever
                           ///< taken while it is held)
   kGcDeferred = 260,    ///< ImrsGc::deferred_mu_
-  kGcReclaimHooks = 265,///< ImrsGc::reclaim_mu_ (hook list; hooks run with
-                        ///< it released)
   kIlmLastCycle = 270,  ///< IlmManager::last_cycle_mu_
-  kSamplerThread = 280, ///< TimeSeriesSampler::thread_mu_
   kSamplerRing = 290,   ///< TimeSeriesSampler::mu_
 
   // --- Test-only ranks (lock_order_test's injected inversion) ---------------

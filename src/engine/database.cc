@@ -117,14 +117,10 @@ Status Database::Init() {
   gc_->SetThreadPool(background_pool_.get());
 
   // Observability: every subsystem above registers its counters into the
-  // unified registry; the sampler snapshots it on cadence or on demand.
+  // unified registry; the sampler snapshots it on demand.
   BTRIM_RETURN_IF_ERROR(RegisterAllMetrics());
-  obs::TimeSeriesSampler::Options sampler_options;
-  sampler_options.capacity = options_.metrics_sample_capacity;
-  sampler_options.interval_us = options_.metrics_sample_interval_us;
-  sampler_ = std::make_unique<obs::TimeSeriesSampler>(&metrics_registry_,
-                                                      sampler_options);
-  if (sampler_options.interval_us > 0) sampler_->Start();
+  sampler_ = std::make_unique<obs::TimeSeriesSampler>(
+      &metrics_registry_, obs::TimeSeriesSampler::Options{});
   return Status::OK();
 }
 
@@ -259,8 +255,6 @@ Result<Table*> Database::CreateTable(TableOptions options) {
     BTRIM_RETURN_IF_ERROR(
         table->hash_index()->RegisterMetrics(&metrics_registry_, pk_labels));
   }
-  gc_->AddReclaimHook(
-      [tree = table->primary_.get()] { return tree->DrainRetired(); });
 
   // Secondary indexes.
   for (const IndexDef& def : options.secondary_indexes) {
@@ -278,8 +272,6 @@ Result<Table*> Database::CreateTable(TableOptions options) {
     BTRIM_RETURN_IF_ERROR(sec.tree->RegisterMetrics(
         &metrics_registry_,
         obs::MetricLabels{"index", options.name, def.name, ""}));
-    gc_->AddReclaimHook(
-        [tree = sec.tree.get()] { return tree->DrainRetired(); });
     table->secondaries_.push_back(std::move(sec));
   }
 

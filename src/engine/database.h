@@ -87,13 +87,6 @@ struct DatabaseOptions {
   /// partition). Checkpoints seal early regardless.
   size_t cold_segment_rows = 4096;
 
-  /// Metrics time-series sampling. `metrics_sample_interval_us > 0` starts
-  /// a background sampler thread snapshotting the registry on that cadence;
-  /// 0 leaves the sampler on-demand only (SampleNow at transaction-count
-  /// windows, which is how the bench harness drives it).
-  int64_t metrics_sample_interval_us = 0;
-  size_t metrics_sample_capacity = 512;
-
   /// Seeded fault-injection plan (tests / torture harness). When set, every
   /// device and log storage the database creates is wrapped in its faulty
   /// decorator (FaultyDevice / FaultyLogStorage) driven by this plan, so
@@ -334,8 +327,8 @@ class Database : public PackClient {
   /// registered into (DESIGN.md Sec. 10).
   obs::MetricsRegistry* metrics_registry() const { return &metrics_registry_; }
 
-  /// The registry's time-series sampler (cadence thread only runs when
-  /// DatabaseOptions::metrics_sample_interval_us > 0).
+  /// The registry's time-series sampler (on demand: SampleNow at
+  /// transaction-count windows; keeps the newest 512 samples).
   obs::TimeSeriesSampler* metrics_sampler() const { return sampler_.get(); }
 
   /// Full metrics export in the stable JSON schema

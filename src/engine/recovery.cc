@@ -596,12 +596,12 @@ Status Database::Recover() {
     }
   }
 
-  // --- rebuild indexes (sharded: OLC trees take concurrent inserts) ---------
+  // --- rebuild indexes (sharded: B+Trees take concurrent inserts) ----------
   {
     std::vector<std::function<void()>> tasks;
     // Page-store rows, one task per partition, skipping rows masked by an
     // IMRS-resident row. ScanAll synchronizes on page latches; B+Tree and
-    // hash-index inserts are concurrent-safe (OLC / striped locks).
+    // hash-index inserts are concurrent-safe (latch coupling / striped locks).
     size_t num_parts = 0;
     for (Table* table : Tables()) num_parts += table->num_partitions();
     // Sized up front: tasks capture pointers into it.

@@ -96,11 +96,11 @@ std::string FormatDatabaseStats(const obs::MetricsRegistry& r) {
           v("locks.timeouts"), v("locks.try_failures"));
   Appendf(&out,
           "index        : %" PRId64 " searches, %" PRId64
-          " inserts, %" PRId64 " splits, %" PRId64 " OLC restarts, %" PRId64
-          " pessimistic, %" PRId64 "/%" PRId64 " pages retired/reclaimed\n",
+          " inserts, %" PRId64 " splits, %" PRId64 " root retries, %" PRId64
+          " pessimistic, %" PRId64 "/%" PRId64 " pages freed/reused\n",
           v("index.searches"), v("index.inserts"), v("index.splits"),
           v("index.olc_restarts"), v("index.pessimistic_descents"),
-          v("index.pages_retired"), v("index.pages_reclaimed"));
+          v("index.pages_retired"), v("index.pages_reused"));
   Appendf(&out,
           "GC           : %" PRId64 " versions freed (%" PRId64
           " KiB), %" PRId64 " rows purged, %" PRId64 " pending\n",

@@ -188,25 +188,7 @@ int64_t ImrsGc::RunOnce(uint64_t oldest_snapshot, uint64_t now,
   }
 
   DrainDeferred(oldest_snapshot);
-
-  // Epoch-reclamation hooks (B+Tree retired-page drains) run last, with no
-  // GC locks held: the copied-out snapshot keeps AddReclaimHook callers and
-  // hook bodies free to take arbitrary subsystem locks.
-  std::vector<std::function<int64_t()>> hooks;
-  {
-    MutexGuard guard(reclaim_mu_);
-    hooks = reclaim_hooks_;
-  }
-  for (const auto& hook : hooks) {
-    const int64_t reclaimed = hook();
-    if (reclaimed > 0) index_pages_reclaimed_.Add(reclaimed);
-  }
   return processed.load(std::memory_order_relaxed);
-}
-
-void ImrsGc::AddReclaimHook(std::function<int64_t()> hook) {
-  MutexGuard guard(reclaim_mu_);
-  reclaim_hooks_.push_back(std::move(hook));
 }
 
 void ImrsGc::DrainDeferred(uint64_t oldest_snapshot) {
@@ -239,8 +221,6 @@ Status ImrsGc::RegisterMetrics(obs::MetricsRegistry* registry,
       registry->RegisterCounter("gc.rows_purged", l, &rows_purged_));
   BTRIM_RETURN_IF_ERROR(
       registry->RegisterCounter("gc.rows_enqueued", l, &rows_enqueued_));
-  BTRIM_RETURN_IF_ERROR(registry->RegisterCounter(
-      "gc.index_pages_reclaimed", l, &index_pages_reclaimed_));
   BTRIM_RETURN_IF_ERROR(registry->RegisterGaugeFn("gc.work_pending", l, [this] {
     int64_t pending = 0;
     for (int i = 0; i < kGcShards; ++i) {

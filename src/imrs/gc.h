@@ -90,13 +90,6 @@ class ImrsGc {
   /// headers/versions of rows it removed).
   void DeferFree(void* fragment, uint64_t not_before_ts);
 
-  /// Registers an epoch-reclamation hook run at the end of every GC pass.
-  /// The hook returns how many items it reclaimed (e.g. retired B+Tree
-  /// pages whose readers have drained — BTree::DrainRetired). Hooks run
-  /// with no GC locks held and must be safe to call from any pass thread;
-  /// they cannot be unregistered, so the callee must outlive the GC.
-  void AddReclaimHook(std::function<int64_t()> hook);
-
   /// One GC pass. `oldest_snapshot` is
   /// TransactionManager::OldestActiveSnapshot() and `now` the current
   /// commit timestamp (used to stamp the grace period of deferred frees).
@@ -107,9 +100,9 @@ class ImrsGc {
                   int64_t max_items = 0);
 
   /// Registers GC counters (versions_freed, bytes_freed, rows_purged,
-  /// rows_enqueued, index_pages_reclaimed: pages recycled via reclaim hooks)
-  /// plus the pending-queue depths (work_pending, deferred_pending) as
-  /// derived gauges into the unified metrics registry under `gc.*`.
+  /// rows_enqueued) plus the pending-queue depths (work_pending,
+  /// deferred_pending) as derived gauges into the unified metrics registry
+  /// under `gc.*`.
   Status RegisterMetrics(obs::MetricsRegistry* registry,
                          const std::string& subsystem) const;
 
@@ -156,12 +149,8 @@ class ImrsGc {
   mutable Mutex deferred_mu_{LockRank::kGcDeferred, "imrs.gc_deferred"};
   std::vector<Deferred> deferred_ BTRIM_GUARDED_BY(deferred_mu_);
 
-  mutable Mutex reclaim_mu_{LockRank::kGcReclaimHooks, "imrs.gc_reclaim"};
-  std::vector<std::function<int64_t()>> reclaim_hooks_
-      BTRIM_GUARDED_BY(reclaim_mu_);
-
   mutable ShardedCounter versions_freed_, bytes_freed_, rows_purged_,
-      rows_enqueued_, index_pages_reclaimed_;
+      rows_enqueued_;
 };
 
 }  // namespace btrim

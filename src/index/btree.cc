@@ -2,10 +2,8 @@
 
 #include <cassert>
 #include <cstring>
-#include <thread>
 
 #include "common/coding.h"
-#include "index/epoch.h"
 #include "obs/metrics_registry.h"
 
 namespace btrim {
@@ -20,7 +18,7 @@ namespace {
 struct NodeHeader {
   uint32_t magic;
   uint8_t level;  // 0 = leaf
-  uint8_t flags;  // kNodeObsolete: unlinked, awaiting epoch reclamation
+  uint8_t flags;  // unused, zero
   uint16_t count;
   uint16_t cell_start;  // lowest offset used by cells
   uint16_t garbage;     // freed cell bytes
@@ -29,7 +27,6 @@ struct NodeHeader {
 };
 
 constexpr uint32_t kNodeMagic = 0xB7EE0001u;
-constexpr uint8_t kNodeObsolete = 0x1;
 constexpr size_t kSlotBytes = sizeof(uint16_t);
 
 class Node {
@@ -52,9 +49,6 @@ class Node {
   bool IsLeaf() const { return header()->level == 0; }
   uint8_t level() const { return header()->level; }
   uint16_t count() const { return header()->count; }
-
-  bool IsObsolete() const { return (header()->flags & kNodeObsolete) != 0; }
-  void SetObsolete() { header()->flags |= kNodeObsolete; }
 
   uint32_t right_sibling() const { return header()->right_sibling; }
   void set_right_sibling(uint32_t p) { header()->right_sibling = p; }
@@ -209,49 +203,14 @@ class Node {
   char* data_;
 };
 
-inline uint32_t Ver32(uint64_t v) {
-  return static_cast<uint32_t>(v & 0xffffffffull);
-}
-
 }  // namespace
 
 BTree::BTree(uint16_t file_id, BufferCache* cache, bool unique)
     : file_id_(file_id), cache_(cache), unique_(unique) {}
 
-BTree::~BTree() {
-  for (auto& c : version_chunks_) {
-    delete c.load(std::memory_order_relaxed);  // lock-free chunk table
-  }
-}
-
-std::atomic<uint64_t>& BTree::VersionCell(uint32_t page_no) const {
-  const size_t chunk = page_no >> kVersionChunkBits;
-  assert(chunk < kMaxVersionChunks);
-  VersionChunk* c = version_chunks_[chunk].load(std::memory_order_acquire);
-  if (c == nullptr) {
-    VersionChunk* fresh = new VersionChunk();  // lock-free chunk table
-    if (version_chunks_[chunk].compare_exchange_strong(
-            c, fresh, std::memory_order_acq_rel, std::memory_order_acquire)) {
-      c = fresh;
-    } else {
-      delete fresh;  // lock-free chunk table: lost the race to the winner
-    }
-  }
-  return c->v[page_no & (kVersionChunkSize - 1)];
-}
-
-uint64_t BTree::LoadVersion(uint32_t page_no) const {
-  return VersionCell(page_no).load(std::memory_order_acquire);
-}
-
-void BTree::BumpVersion(uint32_t page_no) {
-  VersionCell(page_no).fetch_add(1, std::memory_order_acq_rel);
-}
-
 uint32_t BTree::AllocatePage() {
   {
     SpinLockGuard g(pages_mu_);
-    if (!retired_.empty()) DrainRetiredLocked();
     if (!free_pages_.empty()) {
       const uint32_t p = free_pages_.back();
       free_pages_.pop_back();
@@ -259,44 +218,13 @@ uint32_t BTree::AllocatePage() {
       return p;
     }
   }
-  const uint32_t p = next_page_.fetch_add(1, std::memory_order_relaxed);
-  // Pre-create the version chunk while the page is still unreachable, so
-  // descents can load versions without allocation checks.
-  VersionCell(p);
-  return p;
+  return next_page_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void BTree::RetirePage(uint32_t page_no) {
-  const uint64_t epoch = IndexEpochManager::Global()->Advance();
+void BTree::FreePage(uint32_t page_no) {
   SpinLockGuard g(pages_mu_);
-  retired_.push_back(RetiredPage{page_no, epoch});
+  free_pages_.push_back(page_no);
   pages_retired_.Inc();
-}
-
-int64_t BTree::DrainRetiredLocked() {
-  if (retired_.empty()) return 0;
-  const uint64_t min_active = IndexEpochManager::Global()->MinActive();
-  int64_t reclaimed = 0;
-  size_t w = 0;
-  for (size_t i = 0; i < retired_.size(); ++i) {
-    // A reader that can still reach this page entered strictly before the
-    // retire stamp (see IndexEpochManager), so stamp <= min-active-epoch
-    // proves no live descent holds its number.
-    if (retired_[i].epoch <= min_active) {
-      free_pages_.push_back(retired_[i].page_no);
-      ++reclaimed;
-    } else {
-      retired_[w++] = retired_[i];
-    }
-  }
-  retired_.resize(w);
-  if (reclaimed > 0) pages_reclaimed_.Add(reclaimed);
-  return reclaimed;
-}
-
-int64_t BTree::DrainRetired() {
-  SpinLockGuard g(pages_mu_);
-  return DrainRetiredLocked();
 }
 
 Status BTree::Create() {
@@ -307,9 +235,7 @@ Status BTree::Create() {
   Node node(guard->data());
   node.Init(0);
   guard->MarkDirty();
-  BumpVersion(root);
-  root_meta_.store(PackRootMeta(root, LoadVersion(root)),
-                   std::memory_order_release);
+  root_no_.store(root, std::memory_order_release);
   return Status::OK();
 }
 
@@ -319,69 +245,42 @@ std::string BTree::MakeNonUniqueKey(Slice user_key, Rid rid) {
   return k;
 }
 
-Result<PageGuard> BTree::DescendToLeaf(Slice key, LatchMode leaf_mode,
-                                       uint32_t* leaf_no) const {
+Result<PageGuard> BTree::FixRoot(LatchMode leaf_mode,
+                                 LatchMode inner_mode) const {
   for (int attempt = 0;; ++attempt) {
-    if (attempt > 0) {
-      olc_restarts_.Inc();
-      if ((attempt & 63) == 63) std::this_thread::yield();
+    if (attempt > 0) olc_restarts_.Inc();
+    // Root growth raises height_ before it publishes the new root, so the
+    // height read after the root is never older than that root: a height
+    // of 1 here means `page_no` was a leaf when loaded, and latching it in
+    // leaf mode avoids any latch upgrade.
+    const uint32_t page_no = root_no_.load(std::memory_order_acquire);
+    const LatchMode mode =
+        height_.load(std::memory_order_acquire) == 1 ? leaf_mode : inner_mode;
+    Result<PageGuard> root = cache_->FixPage(PageId{file_id_, page_no}, mode);
+    if (!root.ok()) return root.status();
+    // Growth swaps root_no_ under the old root's exclusive latch, so with
+    // the root latched an unchanged root_no_ proves it is still the root
+    // (and the height hint still holds).
+    if (root_no_.load(std::memory_order_acquire) == page_no) return root;
+  }
+}
+
+Result<PageGuard> BTree::DescendToLeaf(Slice key, LatchMode leaf_mode) const {
+  Result<PageGuard> root = FixRoot(leaf_mode, LatchMode::kShared);
+  if (!root.ok()) return root.status();
+  PageGuard cur = std::move(*root);
+  while (true) {
+    Node node(cur.data());
+    if (!node.IsInitialized()) {
+      return Status::Corruption("uninitialized index page");
     }
-    const uint64_t meta = root_meta_.load(std::memory_order_acquire);
-    uint32_t page_no = static_cast<uint32_t>(meta >> 32);
-    // Height hint: when the whole tree is one leaf, fix the root directly
-    // in leaf mode (there is no way to upgrade a shared latch). The hint is
-    // verified below like every other routing decision.
-    LatchMode mode = height_.load(std::memory_order_acquire) == 1
-                         ? leaf_mode
-                         : LatchMode::kShared;
-    Result<PageGuard> fixed =
-        cache_->FixPage(PageId{file_id_, page_no}, mode);
-    if (!fixed.ok()) return fixed.status();
-    PageGuard cur = std::move(*fixed);
-    if (Ver32(LoadVersion(page_no)) != Ver32(meta)) {
-      continue;  // the root split or the tree grew; restart
-    }
-    bool restart = false;
-    while (!restart) {
-      Node node(cur.data());
-      if (!node.IsInitialized() || node.IsObsolete()) {
-        restart = true;
-        break;
-      }
-      if (node.IsLeaf()) {
-        if (mode != leaf_mode) {
-          restart = true;  // stale height hint left us under-latched
-          break;
-        }
-        *leaf_no = page_no;
-        return cur;
-      }
-      // Capture the routing decision and the child's version while still
-      // holding the parent's latch; validate after re-latching the child.
-      // Structural changes that would invalidate the capture (split,
-      // unlink, reuse) bump the child's version under its exclusive latch
-      // while also holding the parent's, so they cannot overlap either
-      // side of this window.
-      const uint32_t child = node.ChildFor(key);
-      if (child == kInvalidPage) {
-        restart = true;
-        break;
-      }
-      const uint64_t child_version = LoadVersion(child);
-      const LatchMode next_mode =
-          node.level() == 1 ? leaf_mode : LatchMode::kShared;
-      cur.Release();
-      Result<PageGuard> next =
-          cache_->FixPage(PageId{file_id_, child}, next_mode);
-      if (!next.ok()) return next.status();
-      if (LoadVersion(child) != child_version) {
-        restart = true;
-        break;
-      }
-      cur = std::move(*next);
-      page_no = child;
-      mode = next_mode;
-    }
+    if (node.IsLeaf()) return cur;
+    const LatchMode child_mode =
+        node.level() == 1 ? leaf_mode : LatchMode::kShared;
+    Result<PageGuard> child = cache_->FixPage(
+        PageId{file_id_, node.ChildFor(key)}, child_mode);
+    if (!child.ok()) return child.status();
+    cur = std::move(*child);  // releases the parent after the child latch
   }
 }
 
@@ -398,10 +297,7 @@ Status BTree::Insert(Slice key, uint64_t value) {
              cur_max, static_cast<uint32_t>(key.size()),
              std::memory_order_relaxed)) {
   }
-  IndexEpochGuard epoch;
-  uint32_t leaf_no = 0;
-  Result<PageGuard> leaf_guard =
-      DescendToLeaf(key, LatchMode::kExclusive, &leaf_no);
+  Result<PageGuard> leaf_guard = DescendToLeaf(key, LatchMode::kExclusive);
   if (!leaf_guard.ok()) return leaf_guard.status();
   Node node(leaf_guard->data());
   const uint16_t pos = node.LowerBound(key);
@@ -419,12 +315,11 @@ Status BTree::Insert(Slice key, uint64_t value) {
 }
 
 Status BTree::SplitChild(PageGuard* parent_guard, PageGuard* node_guard,
-                         uint32_t* node_no, Slice key) {
+                         Slice key) {
   // Both pages are latched exclusive and the parent is guaranteed to absorb
   // one separator. The fresh right sibling is unreachable until the
-  // separator lands in the parent, and both links appear in the same
-  // latched section, so concurrent descents see either the pre-split state
-  // (their version capture still validates) or the bumped version.
+  // separator lands in the parent and the sibling link is set, and both
+  // happen before either latch is released.
   splits_.Inc();
   const uint32_t right_no = AllocatePage();
   Result<PageGuard> right_guard =
@@ -434,7 +329,6 @@ Status BTree::SplitChild(PageGuard* parent_guard, PageGuard* node_guard,
   Node right(right_guard->data());
   const uint8_t level = node.level();
   right.Init(level);
-  BumpVersion(right_no);  // new identity for a possibly reused page number
   std::string sep;
   const uint16_t mid = node.count() / 2;
   if (level == 0) {
@@ -450,8 +344,6 @@ Status BTree::SplitChild(PageGuard* parent_guard, PageGuard* node_guard,
     node.MoveTail(mid + 1, &right);
     node.RemoveAt(mid);
   }
-  // The left half's key coverage shrank: invalidate in-flight captures.
-  BumpVersion(*node_no);
   Node parent(parent_guard->data());
   Status s = parent.InsertAt(parent.LowerBound(Slice(sep)), Slice(sep),
                              right_no);
@@ -460,10 +352,7 @@ Status BTree::SplitChild(PageGuard* parent_guard, PageGuard* node_guard,
   node_guard->MarkDirty();
   right_guard->MarkDirty();
   parent_guard->MarkDirty();
-  if (key.compare(Slice(sep)) >= 0) {
-    *node_guard = std::move(*right_guard);
-    *node_no = right_no;
-  }
+  if (key.compare(Slice(sep)) >= 0) *node_guard = std::move(*right_guard);
   return Status::OK();
 }
 
@@ -474,85 +363,62 @@ Status BTree::InsertPessimistic(Slice key, uint64_t value) {
   // latches (parent, node, fresh sibling) are ever held.
   pessimistic_.Inc();
   const size_t leaf_need = 2 + key.size() + 8 + kSlotBytes;
-  for (int attempt = 0;; ++attempt) {
-    if (attempt > 0) {
-      olc_restarts_.Inc();
-      if ((attempt & 63) == 63) std::this_thread::yield();
+  const size_t sep_need =
+      2 + max_key_size_.load(std::memory_order_relaxed) + 8 + kSlotBytes;
+  Result<PageGuard> root_guard =
+      FixRoot(LatchMode::kExclusive, LatchMode::kExclusive);
+  if (!root_guard.ok()) return root_guard.status();
+  PageGuard parent;  // invalid while `cur` is the tree's top
+  PageGuard cur = std::move(*root_guard);
+  {
+    Node root(cur.data());
+    const size_t need = root.IsLeaf() ? leaf_need : sep_need;
+    if (root.FreeSpace() < need) {
+      // Grow first so the root splits like any other node. The new root
+      // starts with the old root as its only child; it is unreachable until
+      // root_no_ names it, and descents that latched the old root before
+      // the swap see root_no_ moved and retry.
+      const uint32_t new_root_no = AllocatePage();
+      Result<PageGuard> grow_guard = cache_->FixPage(
+          PageId{file_id_, new_root_no}, LatchMode::kExclusive);
+      if (!grow_guard.ok()) return grow_guard.status();
+      Node new_root(grow_guard->data());
+      new_root.Init(static_cast<uint8_t>(root.level() + 1));
+      new_root.set_leftmost_child(cur.page_id().page_no);
+      grow_guard->MarkDirty();
+      height_.fetch_add(1, std::memory_order_acq_rel);
+      root_no_.store(new_root_no, std::memory_order_release);
+      parent = std::move(*grow_guard);
     }
-    const size_t sep_need =
-        2 + max_key_size_.load(std::memory_order_relaxed) + 8 + kSlotBytes;
-    const uint64_t meta = root_meta_.load(std::memory_order_acquire);
-    const uint32_t root_no = static_cast<uint32_t>(meta >> 32);
-    Result<PageGuard> root_guard =
-        cache_->FixPage(PageId{file_id_, root_no}, LatchMode::kExclusive);
-    if (!root_guard.ok()) return root_guard.status();
-    if (Ver32(LoadVersion(root_no)) != Ver32(meta)) continue;
-
-    PageGuard parent;  // invalid while `cur` is the tree's top
-    PageGuard cur = std::move(*root_guard);
-    uint32_t cur_no = root_no;
-    {
-      Node root(cur.data());
-      const size_t need = root.IsLeaf() ? leaf_need : sep_need;
-      if (root.FreeSpace() < need) {
-        // Grow first so the root splits like any other node. The new root
-        // starts with the old root as its only child and is published
-        // immediately: the old root's coverage is unchanged, so stale
-        // root_meta_ readers stay correct until it actually splits. The
-        // version bump retires the old root's *root identity* — a
-        // concurrent pessimistic writer validating against stale meta
-        // restarts instead of growing a second root.
-        const uint32_t new_root_no = AllocatePage();
-        Result<PageGuard> grow_guard = cache_->FixPage(
-            PageId{file_id_, new_root_no}, LatchMode::kExclusive);
-        if (!grow_guard.ok()) return grow_guard.status();
-        Node new_root(grow_guard->data());
-        new_root.Init(static_cast<uint8_t>(root.level() + 1));
-        new_root.set_leftmost_child(cur_no);
-        BumpVersion(new_root_no);
-        grow_guard->MarkDirty();
-        BumpVersion(cur_no);
-        root_meta_.store(
-            PackRootMeta(new_root_no, LoadVersion(new_root_no)),
-            std::memory_order_release);
-        height_.fetch_add(1, std::memory_order_acq_rel);
-        parent = std::move(*grow_guard);
-      }
-    }
-    while (true) {
-      Node node(cur.data());
-      if (node.FreeSpace() < (node.IsLeaf() ? leaf_need : sep_need)) {
-        Status s = SplitChild(&parent, &cur, &cur_no, key);
-        if (!s.ok()) return s;
-        continue;  // re-check the half that now owns the key
-      }
-      if (node.IsLeaf()) break;
-      const uint32_t child = node.ChildFor(key);
-      Result<PageGuard> child_guard =
-          cache_->FixPage(PageId{file_id_, child}, LatchMode::kExclusive);
-      if (!child_guard.ok()) return child_guard.status();
-      parent = std::move(cur);  // releases the grandparent
-      cur = std::move(*child_guard);
-      cur_no = child;
-    }
-    Node leaf(cur.data());
-    const uint16_t pos = leaf.LowerBound(key);
-    if (unique_ && pos < leaf.count() && leaf.KeyAt(pos) == key) {
-      return Status::AlreadyExists("duplicate key");
-    }
-    Status s = leaf.InsertAt(pos, key, value);
-    if (!s.ok()) return s;  // unreachable: space was ensured above
-    cur.MarkDirty();
-    return Status::OK();
   }
+  while (true) {
+    Node node(cur.data());
+    if (node.FreeSpace() < (node.IsLeaf() ? leaf_need : sep_need)) {
+      Status s = SplitChild(&parent, &cur, key);
+      if (!s.ok()) return s;
+      continue;  // re-check the half that now owns the key
+    }
+    if (node.IsLeaf()) break;
+    Result<PageGuard> child_guard = cache_->FixPage(
+        PageId{file_id_, node.ChildFor(key)}, LatchMode::kExclusive);
+    if (!child_guard.ok()) return child_guard.status();
+    parent = std::move(cur);  // releases the grandparent
+    cur = std::move(*child_guard);
+  }
+  Node leaf(cur.data());
+  const uint16_t pos = leaf.LowerBound(key);
+  if (unique_ && pos < leaf.count() && leaf.KeyAt(pos) == key) {
+    return Status::AlreadyExists("duplicate key");
+  }
+  Status s = leaf.InsertAt(pos, key, value);
+  if (!s.ok()) return s;  // unreachable: space was ensured above
+  cur.MarkDirty();
+  return Status::OK();
 }
 
 Result<uint64_t> BTree::Search(Slice key) const {
   searches_.Inc();
-  IndexEpochGuard epoch;
-  uint32_t leaf_no = 0;
-  Result<PageGuard> leaf_guard =
-      DescendToLeaf(key, LatchMode::kShared, &leaf_no);
+  Result<PageGuard> leaf_guard = DescendToLeaf(key, LatchMode::kShared);
   if (!leaf_guard.ok()) return leaf_guard.status();
   Node node(leaf_guard->data());
   const uint16_t pos = node.LowerBound(key);
@@ -563,10 +429,7 @@ Result<uint64_t> BTree::Search(Slice key) const {
 }
 
 Status BTree::UpdateValue(Slice key, uint64_t value) {
-  IndexEpochGuard epoch;
-  uint32_t leaf_no = 0;
-  Result<PageGuard> leaf_guard =
-      DescendToLeaf(key, LatchMode::kExclusive, &leaf_no);
+  Result<PageGuard> leaf_guard = DescendToLeaf(key, LatchMode::kExclusive);
   if (!leaf_guard.ok()) return leaf_guard.status();
   Node node(leaf_guard->data());
   const uint16_t pos = node.LowerBound(key);
@@ -580,10 +443,7 @@ Status BTree::UpdateValue(Slice key, uint64_t value) {
 
 Status BTree::Delete(Slice key) {
   deletes_.Inc();
-  IndexEpochGuard epoch;
-  uint32_t leaf_no = 0;
-  Result<PageGuard> leaf_guard =
-      DescendToLeaf(key, LatchMode::kExclusive, &leaf_no);
+  Result<PageGuard> leaf_guard = DescendToLeaf(key, LatchMode::kExclusive);
   if (!leaf_guard.ok()) return leaf_guard.status();
   Node node(leaf_guard->data());
   const uint16_t pos = node.LowerBound(key);
@@ -596,154 +456,101 @@ Status BTree::Delete(Slice key) {
     return Status::OK();
   }
   // Removing the last entry: unlink the emptied leaf under parent + sibling
-  // latches so its page can be recycled.
+  // latches so its page can be reused.
   leaf_guard->Release();
   return DeletePessimistic(key);
 }
 
 Status BTree::DeletePessimistic(Slice key) {
   pessimistic_.Inc();
-  for (int attempt = 0;; ++attempt) {
-    if (attempt > 0) {
-      olc_restarts_.Inc();
-      if ((attempt & 63) == 63) std::this_thread::yield();
+  // Couple down exclusive, keeping only the direct parent latched (no
+  // separator ever cascades: internal pages are never merged). Entering the
+  // leaf level, the victim's same-parent left sibling is latched before the
+  // victim itself: scans hop left to right while holding a leaf, so the
+  // reverse order would deadlock against them.
+  Result<PageGuard> root_guard =
+      FixRoot(LatchMode::kExclusive, LatchMode::kExclusive);
+  if (!root_guard.ok()) return root_guard.status();
+  PageGuard parent, left;
+  PageGuard cur = std::move(*root_guard);
+  uint16_t slot = 0;  // the victim's entry in `parent` is slot - 1
+  while (true) {
+    Node node(cur.data());
+    if (node.IsLeaf()) break;
+    slot = node.UpperBound(key);
+    const uint32_t child =
+        slot == 0 ? node.leftmost_child()
+                  : static_cast<uint32_t>(node.ValueAt(slot - 1));
+    if (node.level() == 1 && slot > 0) {
+      const uint32_t left_no =
+          slot == 1 ? node.leftmost_child()
+                    : static_cast<uint32_t>(node.ValueAt(slot - 2));
+      Result<PageGuard> left_guard =
+          cache_->FixPage(PageId{file_id_, left_no}, LatchMode::kExclusive);
+      if (!left_guard.ok()) return left_guard.status();
+      left = std::move(*left_guard);
     }
-    const uint64_t meta = root_meta_.load(std::memory_order_acquire);
-    const uint32_t root_no = static_cast<uint32_t>(meta >> 32);
-    Result<PageGuard> root_guard =
-        cache_->FixPage(PageId{file_id_, root_no}, LatchMode::kExclusive);
-    if (!root_guard.ok()) return root_guard.status();
-    if (Ver32(LoadVersion(root_no)) != Ver32(meta)) continue;
-
-    // Couple down to the leaf keeping only its direct parent latched (no
-    // separator ever cascades: internal pages are never merged).
-    PageGuard parent;
-    PageGuard cur = std::move(*root_guard);
-    uint32_t cur_no = root_no;
-    while (true) {
-      Node node(cur.data());
-      if (node.IsLeaf()) break;
-      const uint32_t child = node.ChildFor(key);
-      Result<PageGuard> child_guard =
-          cache_->FixPage(PageId{file_id_, child}, LatchMode::kExclusive);
-      if (!child_guard.ok()) return child_guard.status();
-      parent = std::move(cur);
-      cur = std::move(*child_guard);
-      cur_no = child;
-    }
-    Node leaf(cur.data());
-    const uint16_t pos = leaf.LowerBound(key);
-    if (pos >= leaf.count() || !(leaf.KeyAt(pos) == key)) {
-      return Status::NotFound("key absent");
-    }
-    if (leaf.count() > 1 || !parent.valid()) {
-      // Re-filled since the optimistic attempt, or the leaf is the root:
-      // plain removal (the root may sit empty).
-      leaf.RemoveAt(pos);
-      cur.MarkDirty();
-      return Status::OK();
-    }
-    // Unlink: locate this leaf in its parent. Only a non-leftmost child is
-    // unlinked — it always has a same-parent left sibling whose chain
-    // pointer we can rewire while the parent latch serializes all
-    // structure changes below this parent.
-    Node pnode(parent.data());
-    if (pnode.leftmost_child() == cur_no) {
-      leaf.RemoveAt(pos);
-      cur.MarkDirty();
-      return Status::OK();  // leftmost leaves stay linked while empty
-    }
-    uint16_t j = 0;
-    bool found = false;
-    for (; j < pnode.count(); ++j) {
-      if (static_cast<uint32_t>(pnode.ValueAt(j)) == cur_no) {
-        found = true;
-        break;
-      }
-    }
-    assert(found);
-    if (!found) return Status::Corruption("leaf missing from parent");
-    const uint32_t left_no =
-        j == 0 ? pnode.leftmost_child()
-               : static_cast<uint32_t>(pnode.ValueAt(j - 1));
-    Result<PageGuard> left_guard =
-        cache_->FixPage(PageId{file_id_, left_no}, LatchMode::kExclusive);
-    if (!left_guard.ok()) {
-      leaf.RemoveAt(pos);  // degrade gracefully: remove without unlinking
-      cur.MarkDirty();
-      return Status::OK();
-    }
-    Node left(left_guard->data());
-    leaf.RemoveAt(pos);
-    left.set_right_sibling(leaf.right_sibling());
-    pnode.RemoveAt(j);
-    leaf.SetObsolete();
-    BumpVersion(cur_no);
-    cur.MarkDirty();
-    left_guard->MarkDirty();
-    parent.MarkDirty();
-    left_guard->Release();
-    cur.Release();
-    parent.Release();
-    RetirePage(cur_no);
-    return Status::OK();
+    Result<PageGuard> child_guard =
+        cache_->FixPage(PageId{file_id_, child}, LatchMode::kExclusive);
+    if (!child_guard.ok()) return child_guard.status();
+    parent = std::move(cur);
+    cur = std::move(*child_guard);
   }
+  Node leaf(cur.data());
+  const uint16_t pos = leaf.LowerBound(key);
+  if (pos >= leaf.count() || !(leaf.KeyAt(pos) == key)) {
+    return Status::NotFound("key absent");
+  }
+  leaf.RemoveAt(pos);
+  cur.MarkDirty();
+  // Keep the leaf linked if it was re-filled since the first attempt, if it
+  // is the root (the root may sit empty), or if it is its parent's leftmost
+  // child (rewiring leftmost_child is not worth the protocol).
+  if (leaf.count() > 0 || !left.valid()) return Status::OK();
+  Node(left.data()).set_right_sibling(leaf.right_sibling());
+  Node(parent.data()).RemoveAt(static_cast<uint16_t>(slot - 1));
+  left.MarkDirty();
+  parent.MarkDirty();
+  const uint32_t victim = cur.page_id().page_no;
+  left.Release();
+  cur.Release();
+  parent.Release();
+  FreePage(victim);
+  return Status::OK();
 }
 
 Status BTree::Scan(Slice lower, Slice upper, size_t limit,
                    std::vector<std::pair<std::string, uint64_t>>* out) const {
   scans_.Inc();
-  IndexEpochGuard epoch;
-  // Resume cursor: the last emitted key (exclusive) or the scan's lower
-  // bound (inclusive). A failed sibling-hop validation re-descends to the
-  // cursor, so restarts never emit an entry twice. The string doubles as
-  // the reusable key scratch buffer across entries.
-  std::string resume(lower.data(), lower.size());
-  bool resume_exclusive = false;
-  for (;;) {
-    uint32_t leaf_no = 0;
-    Result<PageGuard> fixed =
-        DescendToLeaf(Slice(resume), LatchMode::kShared, &leaf_no);
-    if (!fixed.ok()) return fixed.status();
-    PageGuard cur = std::move(*fixed);
-    bool hop_failed = false;
-    while (!hop_failed) {
-      Node node(cur.data());
-      uint16_t pos = resume_exclusive ? node.UpperBound(Slice(resume))
-                                      : node.LowerBound(Slice(resume));
-      if (pos < node.count()) {
-        // Reserve from the leaf's entry count, but never below capacity
-        // doubling, so bulk scans keep amortized growth.
-        const size_t want = out->size() + (node.count() - pos);
-        if (out->capacity() < want) {
-          out->reserve(std::max(want, out->capacity() * 2));
-        }
+  Result<PageGuard> fixed = DescendToLeaf(lower, LatchMode::kShared);
+  if (!fixed.ok()) return fixed.status();
+  PageGuard cur = std::move(*fixed);
+  uint16_t pos = Node(cur.data()).LowerBound(lower);
+  while (true) {
+    Node node(cur.data());
+    if (pos < node.count()) {
+      // Reserve from the leaf's entry count, but never below capacity
+      // doubling, so bulk scans keep amortized growth.
+      const size_t want = out->size() + (node.count() - pos);
+      if (out->capacity() < want) {
+        out->reserve(std::max(want, out->capacity() * 2));
       }
-      for (; pos < node.count(); ++pos) {
-        Slice k = node.KeyAt(pos);
-        if (!upper.empty() && k.compare(upper) >= 0) return Status::OK();
-        out->emplace_back(std::string(k.data(), k.size()), node.ValueAt(pos));
-        if (limit != 0 && out->size() >= limit) return Status::OK();
-        resume.assign(k.data(), k.size());
-        resume_exclusive = true;
-      }
-      const uint32_t next = node.right_sibling();
-      if (next == kInvalidPage) return Status::OK();
-      // Capture the sibling's version under this leaf's latch; validate
-      // after hopping, exactly like a parent-to-child link.
-      const uint64_t next_version = LoadVersion(next);
-      cur.Release();
-      Result<PageGuard> next_guard =
-          cache_->FixPage(PageId{file_id_, next}, LatchMode::kShared);
-      if (!next_guard.ok()) return next_guard.status();
-      if (LoadVersion(next) != next_version ||
-          Node(next_guard->data()).IsObsolete()) {
-        hop_failed = true;
-        break;
-      }
-      cur = std::move(*next_guard);
     }
-    olc_restarts_.Inc();
+    for (; pos < node.count(); ++pos) {
+      Slice k = node.KeyAt(pos);
+      if (!upper.empty() && k.compare(upper) >= 0) return Status::OK();
+      out->emplace_back(std::string(k.data(), k.size()), node.ValueAt(pos));
+      if (limit != 0 && out->size() >= limit) return Status::OK();
+    }
+    const uint32_t next = node.right_sibling();
+    if (next == kInvalidPage) return Status::OK();
+    // Latch the sibling before releasing this leaf: neither a split of this
+    // leaf nor an unlink of the sibling can slip in between.
+    Result<PageGuard> next_guard =
+        cache_->FixPage(PageId{file_id_, next}, LatchMode::kShared);
+    if (!next_guard.ok()) return next_guard.status();
+    cur = std::move(*next_guard);
+    pos = 0;
   }
 }
 
@@ -781,8 +588,6 @@ Status BTree::RegisterMetrics(obs::MetricsRegistry* registry,
                                                   labels, &pessimistic_));
   BTRIM_RETURN_IF_ERROR(registry->RegisterCounter("index.pages_retired",
                                                   labels, &pages_retired_));
-  BTRIM_RETURN_IF_ERROR(registry->RegisterCounter("index.pages_reclaimed",
-                                                  labels, &pages_reclaimed_));
   BTRIM_RETURN_IF_ERROR(registry->RegisterCounter("index.pages_reused",
                                                   labels, &pages_reused_));
   return Status::OK();

@@ -33,28 +33,24 @@ struct MetricLabels;
 /// the page store — residency is resolved through the RID-map at access
 /// time.
 ///
-/// Concurrency (DESIGN.md Sec. 13) — optimistic lock coupling layered on
-/// the buffer-cache frame latches:
-///  - every page carries a version counter (outside the page image, in a
-///    chunked atomic table keyed by page number); structural changes that
-///    shrink a page's key coverage (split, unlink, reuse) bump it under the
-///    page's exclusive latch;
-///  - descents hold at most one shared frame latch at a time: the child
-///    page number and its version are captured under the parent's latch,
-///    the parent is released, the child is fixed, and the version is
-///    re-validated — a mismatch restarts the descent from the root;
-///  - writers descend optimistically and latch only the leaf; a full leaf
-///    falls back to a pessimistic latch-coupling descent that retains
-///    exclusive latches on the unsafe ancestor suffix and splits bottom-up;
-///  - the former tree-wide tree_lock_ is retired: the root is published as
-///    a single atomic word (page number + truncated version) that readers
-///    validate like any other link;
-///  - unlinked leaves are recycled through epoch-based reclamation
-///    (index/epoch.h) so in-flight descents never see a reused frame.
+/// Concurrency (DESIGN.md Sec. 13) — top-down latch coupling over the
+/// buffer-cache frame latches:
+///  - every descent latches the child before it releases the parent, so no
+///    thread ever holds a bare page number across an unlatched window;
+///  - the root is a plain atomic page number; a descent re-reads it after
+///    latching the root and retries if the root moved (the only retry);
+///  - readers couple shared latches; writers couple shared latches and take
+///    the leaf exclusive, and a full leaf falls back to an exclusive
+///    coupling descent that splits unsafe nodes top-down;
+///  - one latch order holds everywhere: top-down, and left to right within
+///    the leaf level (scans hop right while holding the current leaf; an
+///    unlink latches the left sibling before the victim);
+///  - an unlinked leaf goes straight onto the free list: its parent and
+///    its left sibling, the only ways to reach it, were both latched
+///    exclusive while it was cut out.
 ///
 /// Page image reads and writes always happen under the frame latch, so the
-/// protocol is free of data races by construction (TSan-clean), unlike
-/// classic OLC's unlatched optimistic reads.
+/// protocol is free of data races by construction (TSan-clean).
 ///
 /// For a non-unique index, callers append the RID to the key to make
 /// entries distinct (see MakeNonUniqueKey); lookups then use prefix scans.
@@ -69,7 +65,6 @@ class BTree {
 
   /// `unique`: reject duplicate keys on insert.
   BTree(uint16_t file_id, BufferCache* cache, bool unique);
-  ~BTree();
 
   BTree(const BTree&) = delete;
   BTree& operator=(const BTree&) = delete;
@@ -101,12 +96,6 @@ class BTree {
   /// Key for a non-unique index entry: user key + big-endian encoded RID.
   static std::string MakeNonUniqueKey(Slice user_key, Rid rid);
 
-  /// Moves retired pages whose retire epoch has been passed by every active
-  /// reader onto the free list. Called opportunistically by AllocatePage and
-  /// on the background GC cadence (ImrsGc reclaim hooks). Returns pages
-  /// reclaimed.
-  int64_t DrainRetired();
-
   bool unique() const { return unique_; }
   uint16_t file_id() const { return file_id_; }
 
@@ -120,58 +109,27 @@ class BTree {
 
   /// Registers the per-tree traffic counters into the unified metrics
   /// registry under `index.*` with the given labels: inserts, deletes,
-  /// searches, scans, splits, olc_restarts (version-validation failures),
-  /// pessimistic_descents (writer fallbacks to latch coupling),
-  /// pages_retired (leaves unlinked, awaiting epochs), pages_reclaimed
-  /// (retired pages moved to the free list) and pages_reused (allocations
-  /// served from the free list).
+  /// searches, scans, splits, olc_restarts (descents retried because the
+  /// root moved), pessimistic_descents (writer fallbacks to exclusive
+  /// coupling), pages_retired (leaves unlinked and freed) and pages_reused
+  /// (allocations served from the free list).
   Status RegisterMetrics(obs::MetricsRegistry* registry,
                          const obs::MetricLabels& labels) const;
 
  private:
-  // Version table: one atomic per page number, chunked so it grows without
-  // relocating live atomics. 4096 chunks x 4096 entries covers 16M pages
-  // (128 GiB of index) per tree.
-  static constexpr size_t kVersionChunkBits = 12;
-  static constexpr size_t kVersionChunkSize = size_t{1} << kVersionChunkBits;
-  static constexpr size_t kMaxVersionChunks = 4096;
-  struct VersionChunk {
-    std::atomic<uint64_t> v[kVersionChunkSize] = {};
-  };
-
-  struct RetiredPage {
-    uint32_t page_no;
-    uint64_t epoch;
-  };
-
-  // root_meta_ packs (root page number << 32 | low 32 bits of the root's
-  // version). Readers validate the truncated version after fixing the root;
-  // writers republish under the old root's exclusive latch whenever the
-  // root splits. 2^32 version wrap between a reader's load and its validate
-  // is not a practical concern (it would need 4G structural changes of the
-  // root page inside one descent).
-  static uint64_t PackRootMeta(uint32_t page_no, uint64_t version) {
-    return (static_cast<uint64_t>(page_no) << 32) |
-           (version & 0xffffffffull);
-  }
-
-  std::atomic<uint64_t>& VersionCell(uint32_t page_no) const;
-  uint64_t LoadVersion(uint32_t page_no) const;
-  /// Must be called with `page_no` latched exclusive (or unreachable).
-  void BumpVersion(uint32_t page_no);
-
-  /// Allocates a page number, preferring reclaimed pages. Safe to call
-  /// while holding frame latches (pages_mu_ ranks inside kPageFrame).
+  /// Allocates a page number, preferring freed pages. Safe to call while
+  /// holding frame latches (pages_mu_ ranks inside kPageFrame).
   uint32_t AllocatePage();
-  void RetirePage(uint32_t page_no);
-  int64_t DrainRetiredLocked() BTRIM_REQUIRES(pages_mu_);
+  void FreePage(uint32_t page_no);
 
-  /// Optimistic shared-latch descent to the leaf owning `key`. On success
-  /// `*leaf_no` names the leaf and the returned guard holds it in
-  /// `leaf_mode`. Version conflicts restart internally (counted); only
-  /// buffer-cache errors surface.
-  Result<PageGuard> DescendToLeaf(Slice key, LatchMode leaf_mode,
-                                  uint32_t* leaf_no) const;
+  /// Latches the current root — in `leaf_mode` while the tree is a single
+  /// leaf, else in `inner_mode` — retrying (counted in olc_restarts) while
+  /// the root moves between the load of root_no_ and the latch.
+  Result<PageGuard> FixRoot(LatchMode leaf_mode, LatchMode inner_mode) const;
+
+  /// Shared-latch coupling descent to the leaf owning `key`; the returned
+  /// guard holds the leaf in `leaf_mode`.
+  Result<PageGuard> DescendToLeaf(Slice key, LatchMode leaf_mode) const;
 
   /// Latch-coupling insert fallback for a full leaf: descends top-down
   /// holding parent + current exclusive and preemptively splits any node
@@ -180,20 +138,20 @@ class BTree {
 
   /// Splits `*node_guard` (latched exclusive) into itself plus a fresh
   /// right sibling, inserting the separator into `*parent_guard` (latched
-  /// exclusive, guaranteed room). On return `*node_guard`/`*node_no` track
-  /// the half that covers `key`.
+  /// exclusive, guaranteed room). On return `*node_guard` holds the half
+  /// that covers `key`.
   Status SplitChild(PageGuard* parent_guard, PageGuard* node_guard,
-                    uint32_t* node_no, Slice key);
+                    Slice key);
 
   /// Latch-coupling delete fallback for a leaf that would empty: unlinks
-  /// the leaf from its parent and same-parent left sibling and retires it.
+  /// the leaf from its parent and same-parent left sibling and frees it.
   Status DeletePessimistic(Slice key);
 
   const uint16_t file_id_;
   BufferCache* const cache_;
   const bool unique_;
 
-  std::atomic<uint64_t> root_meta_{0};
+  std::atomic<uint32_t> root_no_{0};
   std::atomic<uint32_t> next_page_{0};
   std::atomic<int64_t> height_{1};
   // Largest key ever inserted: makes the pessimistic path's "this internal
@@ -201,15 +159,12 @@ class BTree {
   // of leaf keys, so no separator can exceed it).
   std::atomic<uint32_t> max_key_size_{8};
 
-  mutable std::atomic<VersionChunk*> version_chunks_[kMaxVersionChunks] = {};
-
   mutable SpinLock pages_mu_{LockRank::kIndexFreeList, "index.page_freelist"};
   std::vector<uint32_t> free_pages_ BTRIM_GUARDED_BY(pages_mu_);
-  std::vector<RetiredPage> retired_ BTRIM_GUARDED_BY(pages_mu_);
 
   mutable ShardedCounter inserts_, deletes_, searches_, scans_, splits_;
   mutable ShardedCounter olc_restarts_, pessimistic_, pages_retired_,
-      pages_reclaimed_, pages_reused_;
+      pages_reused_;
 };
 
 }  // namespace btrim

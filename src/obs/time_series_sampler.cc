@@ -14,8 +14,6 @@ TimeSeriesSampler::TimeSeriesSampler(const MetricsRegistry* registry,
   ring_.reserve(options_.capacity);
 }
 
-TimeSeriesSampler::~TimeSeriesSampler() { Stop(); }
-
 int64_t TimeSeriesSampler::NowUs() const {
   if (clock_) return clock_();
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -76,48 +74,6 @@ std::string TimeSeriesSampler::ToJson() const {
   }
   out.push_back(']');
   return out;
-}
-
-void TimeSeriesSampler::Start() {
-  if (options_.interval_us <= 0) return;
-  MutexGuard guard(thread_mu_);
-  if (thread_.joinable()) return;
-  stop_requested_ = false;
-  thread_ = std::thread([this] { CadenceLoop(); });
-}
-
-void TimeSeriesSampler::Stop() {
-  std::thread to_join;
-  {
-    MutexGuard guard(thread_mu_);
-    if (!thread_.joinable()) return;
-    stop_requested_ = true;
-    to_join = std::move(thread_);
-  }
-  thread_cv_.NotifyAll();
-  to_join.join();
-}
-
-void TimeSeriesSampler::CadenceLoop() {
-  for (;;) {
-    {
-      MutexGuard guard(thread_mu_);
-      // One interval per lap; Stop() interrupts the wait immediately.
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(options_.interval_us);
-      while (!stop_requested_) {
-        if (thread_cv_.WaitUntil(guard, deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-      if (stop_requested_) return;
-    }
-    // Sample with thread_mu_ released: SampleNow takes the ring mutex and
-    // evaluates registry callbacks, neither of which should serialize
-    // against Start()/Stop().
-    SampleNow(-1);
-  }
 }
 
 }  // namespace obs

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
@@ -18,13 +17,10 @@ namespace obs {
 
 /// Snapshots a MetricsRegistry into ring-buffered time-series samples.
 ///
-/// Two sampling axes, usable together:
-///   * wall-clock cadence: Start() spawns a background thread that samples
-///     every `interval_us` (0 disables the thread entirely);
-///   * on-demand: SampleNow(marker) from any thread — the TPC-C driver and
-///     the bench harness call it at transaction-count windows, so the
-///     EXPERIMENTS figures' time axis (windows of committed transactions)
-///     comes straight from the sampler.
+/// Sampling is on demand: SampleNow(marker) from any thread — the TPC-C
+/// driver, the bench harness and the server's kMark opcode call it at
+/// transaction-count windows, so the EXPERIMENTS figures' time axis
+/// (windows of committed transactions) comes straight from the sampler.
 ///
 /// The ring keeps the newest `capacity` samples; `seq` keeps growing, so a
 /// reader can tell when old windows were overwritten. All methods are
@@ -32,16 +28,14 @@ namespace obs {
 class TimeSeriesSampler {
  public:
   struct Options {
-    size_t capacity = 512;     ///< samples retained (older ones drop off)
-    int64_t interval_us = 0;   ///< background cadence; 0 = on-demand only
+    size_t capacity = 512;  ///< samples retained (older ones drop off)
   };
 
   /// One sampler window.
   struct Sample {
     int64_t seq = 0;        ///< monotone sample number (never wraps)
     int64_t wall_us = 0;    ///< microseconds since sampler construction
-    int64_t marker = -1;    ///< caller-supplied (e.g. committed txns); -1 for
-                            ///< cadence-driven samples
+    int64_t marker = -1;    ///< caller-supplied (e.g. committed txns)
     std::vector<MetricSample> metrics;
   };
 
@@ -49,15 +43,9 @@ class TimeSeriesSampler {
   using ClockFn = std::function<int64_t()>;
 
   TimeSeriesSampler(const MetricsRegistry* registry, Options options);
-  ~TimeSeriesSampler();
 
   TimeSeriesSampler(const TimeSeriesSampler&) = delete;
   TimeSeriesSampler& operator=(const TimeSeriesSampler&) = delete;
-
-  /// Starts the cadence thread (no-op when interval_us == 0 or running).
-  void Start();
-  /// Stops and joins the cadence thread. Idempotent; called by destructor.
-  void Stop();
 
   /// Takes one sample immediately. Returns its seq.
   int64_t SampleNow(int64_t marker = -1);
@@ -78,7 +66,6 @@ class TimeSeriesSampler {
   void SetClockForTest(ClockFn clock);
 
  private:
-  void CadenceLoop() BTRIM_EXCLUDES(thread_mu_);
   int64_t NowUs() const BTRIM_REQUIRES(mu_);
 
   const MetricsRegistry* const registry_;
@@ -89,11 +76,6 @@ class TimeSeriesSampler {
   std::atomic<int64_t> next_seq_{0};
   ClockFn clock_ BTRIM_GUARDED_BY(mu_);  // null = steady_clock since ctor
   std::chrono::steady_clock::time_point epoch_;
-
-  Mutex thread_mu_{LockRank::kSamplerThread, "obs.sampler_thread"};
-  CondVar thread_cv_;
-  bool stop_requested_ BTRIM_GUARDED_BY(thread_mu_) = false;
-  std::thread thread_ BTRIM_GUARDED_BY(thread_mu_);
 };
 
 }  // namespace obs

@@ -49,7 +49,10 @@ struct TortureConfig {
   bool cold_columnar = false;
 };
 
-/// Counters reported by a crash-point run (for sweep summaries).
+/// Facts about one crash-point run, for sweep summaries: where the crash
+/// landed, what the workload saw before it and what recovery verified.
+/// These are harness observations, not engine counters — the engine's own
+/// counters are read through the metrics registry.
 struct TortureStats {
   uint64_t crash_op = 0;      ///< op index the crash was scripted at
   bool crash_fired = false;   ///< false when the workload ended first

@@ -32,8 +32,7 @@ void TpccDriver::UnregisterMetrics(obs::MetricsRegistry* registry) const {
   registry->UnregisterMatching(match);
 }
 
-void TpccDriver::Worker(int worker_id, DriverStats* stats,
-                        std::vector<int64_t>* latencies_us) {
+void TpccDriver::Worker(int worker_id, std::vector<int64_t>* latencies_us) {
   TpccRandom rnd(options_.seed * 1000003 + static_cast<uint64_t>(worker_id));
   const Mix& mix = options_.mix;
 
@@ -66,8 +65,7 @@ void TpccDriver::Worker(int worker_id, DriverStats* stats,
       const int64_t elapsed_us = txn_timer.ElapsedMicros();
       latencies_us->push_back(elapsed_us);
       latency_.Record(elapsed_us);
-      ++stats->by_type[type];
-      by_type_[type].Add(1);
+      by_type_[type].Inc();
       const int64_t total =
           committed_.fetch_add(1, std::memory_order_relaxed) + 1;
       if (options_.window_observer && options_.window_txns > 0 &&
@@ -75,19 +73,24 @@ void TpccDriver::Worker(int worker_id, DriverStats* stats,
         options_.window_observer(total);
       }
     } else if (result.user_abort) {
-      ++stats->user_aborts;
-      user_aborts_.Add(1);
+      user_aborts_.Inc();
     } else {
-      ++stats->system_aborts;
-      system_aborts_.Add(1);
+      system_aborts_.Inc();
     }
   }
 }
 
 DriverStats TpccDriver::Run() {
   committed_.store(0, std::memory_order_relaxed);
-  std::vector<DriverStats> per_worker(
-      static_cast<size_t>(options_.workers));
+  // The counters outlive a run; the stats are their deltas across this one.
+  auto counts = [this] {
+    DriverStats c;
+    c.system_aborts = system_aborts_.Load();
+    c.user_aborts = user_aborts_.Load();
+    for (int i = 0; i < 5; ++i) c.by_type[i] = by_type_[i].Load();
+    return c;
+  };
+  const DriverStats before = counts();
   std::vector<std::vector<int64_t>> per_worker_latencies(
       static_cast<size_t>(options_.workers));
   std::vector<std::thread> threads;
@@ -95,24 +98,22 @@ DriverStats TpccDriver::Run() {
 
   WallTimer timer;
   for (int i = 0; i < options_.workers; ++i) {
-    threads.emplace_back([this, i, &per_worker, &per_worker_latencies] {
-      Worker(i, &per_worker[static_cast<size_t>(i)],
-             &per_worker_latencies[static_cast<size_t>(i)]);
+    threads.emplace_back([this, i, &per_worker_latencies] {
+      Worker(i, &per_worker_latencies[static_cast<size_t>(i)]);
     });
   }
   for (auto& t : threads) t.join();
 
-  DriverStats total;
+  DriverStats total = counts();
   total.wall_seconds = timer.ElapsedSeconds();
-  std::vector<int64_t> latencies;
-  for (size_t w = 0; w < per_worker.size(); ++w) {
-    total.system_aborts += per_worker[w].system_aborts;
-    total.user_aborts += per_worker[w].user_aborts;
-    for (int i = 0; i < 5; ++i) total.by_type[i] += per_worker[w].by_type[i];
-    latencies.insert(latencies.end(), per_worker_latencies[w].begin(),
-                     per_worker_latencies[w].end());
-  }
+  total.system_aborts -= before.system_aborts;
+  total.user_aborts -= before.user_aborts;
+  for (int i = 0; i < 5; ++i) total.by_type[i] -= before.by_type[i];
   total.committed = committed_.load(std::memory_order_relaxed);
+  std::vector<int64_t> latencies;
+  for (const std::vector<int64_t>& worker : per_worker_latencies) {
+    latencies.insert(latencies.end(), worker.begin(), worker.end());
+  }
   if (!latencies.empty()) {
     std::sort(latencies.begin(), latencies.end());
     auto at = [&](double q) {

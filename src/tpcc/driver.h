@@ -42,7 +42,9 @@ struct DriverOptions {
   std::function<void(int64_t committed)> window_observer;
 };
 
-/// Aggregate run statistics.
+/// Aggregate run statistics. The counts are the deltas of the driver's
+/// registered `tpcc.*` counters across Run(); the latency percentiles are
+/// exact, computed from every committed transaction's latency.
 struct DriverStats {
   int64_t committed = 0;
   int64_t system_aborts = 0;  ///< lock-timeout/NoSpace aborts
@@ -85,15 +87,14 @@ class TpccDriver {
   void UnregisterMetrics(obs::MetricsRegistry* registry) const;
 
  private:
-  void Worker(int worker_id, DriverStats* stats,
-              std::vector<int64_t>* latencies_us);
+  void Worker(int worker_id, std::vector<int64_t>* latencies_us);
 
   TpccContext* const ctx_;
   const DriverOptions options_;
   std::atomic<int64_t> committed_{0};
 
-  // Live telemetry mirrored into the metrics registry (DriverStats stays
-  // the per-run return value; these feed the sampler while the run is on).
+  // Live telemetry registered into the metrics registry; Run() also reads
+  // its DriverStats counts from these.
   mutable ShardedCounter system_aborts_;
   mutable ShardedCounter user_aborts_;
   mutable ShardedCounter by_type_[5];  // Mix order

@@ -310,19 +310,6 @@ TEST(TimeSeriesSamplerTest, RingKeepsNewestCapacitySamples) {
   }
 }
 
-TEST(TimeSeriesSamplerTest, CadenceThreadSamplesWithoutMarkers) {
-  MetricsRegistry registry;
-  TimeSeriesSampler::Options options;
-  options.interval_us = 200;
-  TimeSeriesSampler sampler(&registry, options);
-  sampler.Start();
-  while (sampler.total_samples() < 3) std::this_thread::yield();
-  sampler.Stop();
-  std::vector<TimeSeriesSampler::Sample> samples = sampler.Samples();
-  ASSERT_GE(samples.size(), 3u);
-  for (const auto& s : samples) EXPECT_EQ(s.marker, -1);
-}
-
 // --- trace ring -------------------------------------------------------------
 
 TEST(TraceRingTest, WraparoundKeepsNewestEvents) {

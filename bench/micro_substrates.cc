@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the substrates the paper's design
 // depends on: per-CPU-style sharded counters vs a single atomic (Sec. V.A),
-// the fragment memory manager, the RID-map, the hash index, the B+Tree,
-// and the lock manager.
+// the fragment memory manager, the RID-map, the hash index, the buffer
+// cache hit path, the B+Tree, and the lock manager.
 
 #include <atomic>
 
@@ -10,9 +10,11 @@
 #include "alloc/fragment_allocator.h"
 #include "common/coding.h"
 #include "common/counters.h"
+#include "common/random.h"
 #include "imrs/rid_map.h"
 #include "index/btree.h"
 #include "index/hash_index.h"
+#include "page/buffer_cache.h"
 #include "page/device.h"
 #include "txn/lock_manager.h"
 
@@ -112,6 +114,35 @@ void BM_HashIndexLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HashIndexLookup)->Threads(1)->Threads(4);
+
+// --- buffer cache --------------------------------------------------------------------
+
+// FixPage hit path: shared latch, pin, unpin, on pages that are all
+// resident. random:0 has every thread fix one hot page; random:1 has each
+// thread fix uniformly random pages out of 1024, spread over every shard.
+constexpr uint32_t kResidentPages = 1024;
+
+void BM_FixPageHit(benchmark::State& state) {
+  static BufferCache* cache = [] {
+    static MemDevice* dev = new MemDevice();
+    auto* c = new BufferCache(4096);
+    c->AttachDevice(1, dev);
+    for (uint32_t p = 0; p < kResidentPages; ++p) {
+      Result<PageGuard> g = c->FixPage({1, p}, LatchMode::kShared);
+      (void)g;
+    }
+    return c;
+  }();
+  const bool random = state.range(0) != 0;
+  Random rng(static_cast<uint64_t>(state.thread_index()) + 1);
+  for (auto _ : state) {
+    const uint32_t page =
+        random ? static_cast<uint32_t>(rng.Uniform(kResidentPages)) : 0;
+    Result<PageGuard> g = cache->FixPage({1, page}, LatchMode::kShared);
+    benchmark::DoNotOptimize(g);
+  }
+}
+BENCHMARK(BM_FixPageHit)->ArgName("random")->Arg(0)->Arg(1)->ThreadRange(1, 8);
 
 // --- B+Tree ------------------------------------------------------------------------
 

@@ -27,15 +27,14 @@ enum class LockRank : uint16_t {
   kUnranked = 0,
 
   // --- Tier 0: background orchestration gates -----------------------------
-  kCheckpointGate = 5,      ///< Database::checkpoint_mu_ (one checkpointer at
-                            ///< a time; held across a shared background_rw_
-                            ///< hold, hence the outermost rank)
-  kBackgroundQuiesce = 10,  ///< Database::background_rw_
-  kIlmTick = 20,            ///< Database::ilm_tick_mu_
-  kGcPass = 30,             ///< Database::gc_pass_mu_
-  kNetServer = 32,          ///< net::Server::conns_mu_ (fd -> connection map,
-                            ///< taken on accept/close/Stop only; connection
-                            ///< state is confined to its event loop)
+  kCheckpointGate = 5,  ///< Database::checkpoint_mu_ (one checkpointer at a
+                        ///< time; held across the RID-map walk, the log
+                        ///< appends and FlushAll, hence the outermost rank)
+  kIlmTick = 20,        ///< Database::ilm_tick_mu_
+  kGcPass = 30,         ///< Database::gc_pass_mu_
+  kNetServer = 32,      ///< net::Server::conns_mu_ (fd -> connection map,
+                        ///< taken on accept/close/Stop only; connection
+                        ///< state is confined to its event loop)
 
   // --- Tier 1: per-subsystem fan-out / registries --------------------------
   kGcDrain = 40,          ///< ImrsGc::Shard::drain_mu (one drainer per shard)

@@ -1,6 +1,6 @@
 // Overlapped consistent-snapshot checkpoint (DESIGN.md Sec. 14).
 //
-// The quiescent checkpoint this replaces held background_rw_ exclusively
+// The quiescent checkpoint this replaces held an exclusive background gate
 // for the whole flush + sync sequence: every pack cycle, GC pass, and (via
 // the paranoid validator's pause) foreground commit stalled behind it. The
 // overlapped protocol reduces the foreground stall to one short begin
@@ -51,9 +51,9 @@
 //      lives there). Skipped without waiting when transactions are active.
 //
 // Lock order: checkpoint_mu_ (kCheckpointGate, outermost — one
-// checkpointer at a time) -> background_rw_ shared -> RID-map stripes /
-// log internals. The stash lock (kCheckpointStash) is a leaf taken by
-// pack/GC eviction paths and by the drain.
+// checkpointer at a time) -> RID-map stripes / log internals. The stash
+// lock (kCheckpointStash) is a leaf taken by pack/GC eviction paths and by
+// the drain.
 
 #include <algorithm>
 #include <chrono>
@@ -130,133 +130,120 @@ Status Database::Checkpoint() {
   const auto start = std::chrono::steady_clock::now();
 
   uint64_t snapshot_ts = 0;
-  int pin = -1;
   Status status;
 
+  // --- Phase 1: begin barrier (the only foreground stall) ---------------
   {
-    // Shared hold only: pack cycles and GC passes keep running. (Nothing
-    // takes background_rw_ exclusively anymore; the shared hold documents
-    // the checkpoint's place in the hierarchy and keeps any future
-    // exclusive user honest.)
-    RwSpinLockReadGuard bg(background_rw_);
-
-    // --- Phase 1: begin barrier (the only foreground stall) ---------------
-    {
-      const auto pause_start = std::chrono::steady_clock::now();
-      if (!txn_manager_.PauseNewTransactions(options_.lock_timeout_ms)) {
-        return Status::Busy("checkpoint begin barrier: active transactions "
-                            "did not drain");
-      }
-      snapshot_ts = txn_manager_.CurrentTimestamp();
-      pin = txn_manager_.PinSnapshot(snapshot_ts);
-      if (pin < 0) {
-        txn_manager_.ResumeNewTransactions();
-        return Status::Busy("no snapshot pin slot available");
-      }
-      {
-        SpinLockGuard guard(ckpt_.stash_mu);
-        ckpt_.snapshot_ts.store(snapshot_ts, std::memory_order_release);
-        ckpt_.active.store(true, std::memory_order_release);
-      }
-      // Begin records, appended while commits are quiesced: every group
-      // ahead of this record has cts <= snapshot_ts, every one after it
-      // cts > snapshot_ts. No sync needed here — a begin without a durable
-      // end is ignored by recovery either way.
-      LogRecord begin;
-      begin.type = LogRecordType::kCheckpointBegin;
-      begin.cts = snapshot_ts;
-      status = sysimrslogs_->AppendRecord(begin);
-      if (status.ok()) status = syslogs_->AppendRecord(begin);
-      txn_manager_.ResumeNewTransactions();
-
-      const int64_t pause_us = ElapsedUs(pause_start);
-      ckpt_.last_pause_us.store(pause_us, std::memory_order_relaxed);
-      int64_t prev_max = ckpt_.max_pause_us.load(std::memory_order_relaxed);
-      while (pause_us > prev_max &&
-             !ckpt_.max_pause_us.compare_exchange_weak(
-                 prev_max, pause_us, std::memory_order_relaxed)) {
-      }
+    const auto pause_start = std::chrono::steady_clock::now();
+    if (!txn_manager_.PauseNewTransactions(options_.lock_timeout_ms)) {
+      return Status::Busy("checkpoint begin barrier: active transactions "
+                          "did not drain");
     }
-
-    // --- Phase 2: snapshot walk, fully overlapped -------------------------
-    int64_t walk_rows = 0;
-    if (status.ok()) {
-      std::string chunk;
-      int64_t chunk_records = 0;
-      rid_map_.ForEach([&](Rid rid, ImrsRow* row) {
-        (void)rid;
-        if (!status.ok()) return;
-        // Rows already flagged for eviction went (or are going) through
-        // StashCheckpointPreImage; skipping them here avoids double
-        // serialization (replay tolerates duplicates regardless).
-        if (row->HasFlag(kRowPurged) || row->HasFlag(kRowPacked)) return;
-        if (AppendSnapshotRecord(row, snapshot_ts, &chunk)) {
-          ++chunk_records;
-          ++walk_rows;
-        }
-        if (chunk.size() >= kSnapshotChunkBytes) {
-          status = sysimrslogs_->AppendGroup(Slice(chunk), chunk_records);
-          chunk.clear();
-          chunk_records = 0;
-        }
-      });
-      if (status.ok() && !chunk.empty()) {
-        status = sysimrslogs_->AppendGroup(Slice(chunk), chunk_records);
-      }
-    }
-
-    // --- Phase 3: stash drain, durability barrier, end record -------------
-    // Always disarm the stash, even on error, so eviction paths stop
-    // feeding a dead checkpoint.
-    std::string stash;
-    int64_t stash_records = 0;
+    snapshot_ts = txn_manager_.CurrentTimestamp();
+    txn_manager_.PinSnapshot(snapshot_ts);
     {
       SpinLockGuard guard(ckpt_.stash_mu);
-      ckpt_.active.store(false, std::memory_order_release);
-      stash.swap(ckpt_.stash);
-      stash_records = ckpt_.stash_records;
-      ckpt_.stash_records = 0;
+      ckpt_.snapshot_ts.store(snapshot_ts, std::memory_order_release);
+      ckpt_.active.store(true, std::memory_order_release);
     }
-    if (status.ok() && !stash.empty()) {
-      status = sysimrslogs_->AppendGroup(Slice(stash), stash_records);
-    }
+    // Begin records, appended while commits are quiesced: every group
+    // ahead of this record has cts <= snapshot_ts, every one after it
+    // cts > snapshot_ts. No sync needed here — a begin without a durable
+    // end is ignored by recovery either way.
+    LogRecord begin;
+    begin.type = LogRecordType::kCheckpointBegin;
+    begin.cts = snapshot_ts;
+    status = sysimrslogs_->AppendRecord(begin);
+    if (status.ok()) status = syslogs_->AppendRecord(begin);
+    txn_manager_.ResumeNewTransactions();
 
-    if (status.ok()) {
-      // WAL rule at the durability boundary: force both logs before the
-      // device sync barrier makes the flushed pages durable (unconditional:
-      // checkpoint is the periodic durability point even under kNoSync).
-      status = buffer_cache_.FlushAll();
-      // Cold-columnar homes join the same barrier: every staged cold row is
-      // sealed and the segment file synced, so pages, logs, and cold
-      // segments all reach the device before the end record.
-      if (status.ok()) status = cold_->Flush();
-      if (status.ok()) status = syslogs_->SyncStorage();
-      if (status.ok()) status = sysimrslogs_->SyncStorage();
-      for (const auto& dev : devices_) {
-        if (!status.ok()) break;
-        if (dev != nullptr) status = dev->Sync();
+    const int64_t pause_us = ElapsedUs(pause_start);
+    ckpt_.last_pause_us.store(pause_us, std::memory_order_relaxed);
+    int64_t prev_max = ckpt_.max_pause_us.load(std::memory_order_relaxed);
+    while (pause_us > prev_max &&
+           !ckpt_.max_pause_us.compare_exchange_weak(
+               prev_max, pause_us, std::memory_order_relaxed)) {
+    }
+  }
+
+  // --- Phase 2: snapshot walk, fully overlapped -------------------------
+  int64_t walk_rows = 0;
+  if (status.ok()) {
+    std::string chunk;
+    int64_t chunk_records = 0;
+    rid_map_.ForEach([&](Rid rid, ImrsRow* row) {
+      (void)rid;
+      if (!status.ok()) return;
+      // Rows already flagged for eviction went (or are going) through
+      // StashCheckpointPreImage; skipping them here avoids double
+      // serialization (replay tolerates duplicates regardless).
+      if (row->HasFlag(kRowPurged) || row->HasFlag(kRowPacked)) return;
+      if (AppendSnapshotRecord(row, snapshot_ts, &chunk)) {
+        ++chunk_records;
+        ++walk_rows;
       }
+      if (chunk.size() >= kSnapshotChunkBytes) {
+        status = sysimrslogs_->AppendGroup(Slice(chunk), chunk_records);
+        chunk.clear();
+        chunk_records = 0;
+      }
+    });
+    if (status.ok() && !chunk.empty()) {
+      status = sysimrslogs_->AppendGroup(Slice(chunk), chunk_records);
     }
-    if (status.ok()) {
-      // Seal the pair. The end record becomes durable only after every
-      // snapshot chunk and data page above it; recovery trusts a
-      // begin/end pair only when both records (same cts) made it down.
-      LogRecord end;
-      end.type = LogRecordType::kCheckpointEnd;
-      end.cts = snapshot_ts;
-      status = sysimrslogs_->AppendRecord(end);
-      if (status.ok()) status = sysimrslogs_->SyncStorage();
-      if (status.ok()) status = syslogs_->AppendRecord(end);
-      if (status.ok()) status = syslogs_->SyncStorage();
-    }
-    if (status.ok()) {
-      ckpt_.completed.Inc();
-      ckpt_.snapshot_rows.Add(walk_rows + stash_records);
-      ckpt_.stashed_rows.Add(stash_records);
-    }
-  }  // release background_rw_ shared
+  }
 
-  txn_manager_.UnpinSnapshot(pin);
+  // --- Phase 3: stash drain, durability barrier, end record -------------
+  // Always disarm the stash, even on error, so eviction paths stop
+  // feeding a dead checkpoint.
+  std::string stash;
+  int64_t stash_records = 0;
+  {
+    SpinLockGuard guard(ckpt_.stash_mu);
+    ckpt_.active.store(false, std::memory_order_release);
+    stash.swap(ckpt_.stash);
+    stash_records = ckpt_.stash_records;
+    ckpt_.stash_records = 0;
+  }
+  if (status.ok() && !stash.empty()) {
+    status = sysimrslogs_->AppendGroup(Slice(stash), stash_records);
+  }
+
+  if (status.ok()) {
+    // WAL rule at the durability boundary: force both logs before the
+    // device sync barrier makes the flushed pages durable (unconditional:
+    // checkpoint is the periodic durability point even under kNoSync).
+    status = buffer_cache_.FlushAll();
+    // Cold-columnar homes join the same barrier: every staged cold row is
+    // sealed and the segment file synced, so pages, logs, and cold
+    // segments all reach the device before the end record.
+    if (status.ok()) status = cold_->Flush();
+    if (status.ok()) status = syslogs_->SyncStorage();
+    if (status.ok()) status = sysimrslogs_->SyncStorage();
+    for (const auto& dev : devices_) {
+      if (!status.ok()) break;
+      if (dev != nullptr) status = dev->Sync();
+    }
+  }
+  if (status.ok()) {
+    // Seal the pair. The end record becomes durable only after every
+    // snapshot chunk and data page above it; recovery trusts a
+    // begin/end pair only when both records (same cts) made it down.
+    LogRecord end;
+    end.type = LogRecordType::kCheckpointEnd;
+    end.cts = snapshot_ts;
+    status = sysimrslogs_->AppendRecord(end);
+    if (status.ok()) status = sysimrslogs_->SyncStorage();
+    if (status.ok()) status = syslogs_->AppendRecord(end);
+    if (status.ok()) status = syslogs_->SyncStorage();
+  }
+  if (status.ok()) {
+    ckpt_.completed.Inc();
+    ckpt_.snapshot_rows.Add(walk_rows + stash_records);
+    ckpt_.stashed_rows.Add(stash_records);
+  }
+
+  txn_manager_.UnpinSnapshot();
   BTRIM_RETURN_IF_ERROR(status);
 
   // --- Phase 4: opportunistic quiescent syslogs truncation ----------------

@@ -391,7 +391,6 @@ void Database::StartBackground() {
   background_threads_.emplace_back([this] {
     while (background_running_.load(std::memory_order_relaxed)) {
       {
-        RwSpinLockReadGuard quiesce(background_rw_);
         MutexGuard tick(ilm_tick_mu_);
         ilm_->BackgroundTick(Now());
       }
@@ -403,7 +402,6 @@ void Database::StartBackground() {
   background_threads_.emplace_back([this] {
     while (background_running_.load(std::memory_order_relaxed)) {
       {
-        RwSpinLockReadGuard quiesce(background_rw_);
         MutexGuard pass(gc_pass_mu_);
         gc_->RunOnce(txn_manager_.OldestActiveSnapshot(), Now());
       }
@@ -422,16 +420,12 @@ void Database::StopBackground() {
 }
 
 void Database::RunGcOnce() {
-  {
-    RwSpinLockReadGuard quiesce(background_rw_);
-    MutexGuard pass(gc_pass_mu_);
-    gc_->RunOnce(txn_manager_.OldestActiveSnapshot(), Now());
-  }
+  MutexGuard pass(gc_pass_mu_);
+  gc_->RunOnce(txn_manager_.OldestActiveSnapshot(), Now());
 }
 
 void Database::RunIlmTickOnce() {
   {
-    RwSpinLockReadGuard quiesce(background_rw_);
     MutexGuard tick(ilm_tick_mu_);
     ilm_->BackgroundTick(Now());
   }

@@ -307,10 +307,9 @@ class Database : public PackClient {
   /// RID-map <-> IMRS version chains <-> page-store slots <-> ILM queue
   /// membership <-> partition byte/row counters. Requires quiescence
   /// (returns Busy while transactions are active); excludes pack cycles and
-  /// GC passes via their serialization mutexes — background_rw_ is only
-  /// held *shared*, so a checkpoint in flight no longer blocks validation
-  /// and vice versa. Returns Corruption with a description of the first
-  /// violation.
+  /// GC passes via their serialization mutexes, so a checkpoint in flight
+  /// does not block validation and vice versa. Returns Corruption with a
+  /// description of the first violation.
   ///
   /// Built with -DBTRIM_PARANOID_CHECKS=ON, the engine also runs a tolerant
   /// variant after every pack cycle (no foreground pause, uncommitted heads
@@ -419,16 +418,15 @@ class Database : public PackClient {
 
   /// --- invariant checking (validate.cc) -----------------------------------
 
-  /// Body of ValidateInvariants. Caller holds background_rw_ shared plus
-  /// ilm_tick_mu_ and gc_pass_mu_ (equivalent exclusion of pack and GC:
+  /// Body of ValidateInvariants. Caller holds ilm_tick_mu_ and gc_pass_mu_
+  /// (equivalent exclusion of pack and GC:
   /// every pack runs inside a tick, every GC pass inside a pass), and has
   /// the foreground paused unless `tolerant` is set. Tolerant mode accepts
   /// transient states a concurrent foreground can produce (uncommitted
   /// chain heads, in-flight queue membership) and skips the partition
   /// gauge cross-check.
   Status ValidateLocked(ValidateReport* report, bool tolerant)
-      BTRIM_REQUIRES_SHARED(background_rw_)
-          BTRIM_REQUIRES(ilm_tick_mu_, gc_pass_mu_);
+      BTRIM_REQUIRES(ilm_tick_mu_, gc_pass_mu_);
 
   /// Paranoid-build hook run after each pack cycle: validates tolerantly
   /// under try-locked tick/pass mutexes (never pausing the foreground),
@@ -496,20 +494,16 @@ class Database : public PackClient {
       BTRIM_GUARDED_BY(catalog_mu_);
 
   // Background concurrency (DESIGN.md Sec. 11). Lock order:
-  //   background_rw_ (shared) -> ilm_tick_mu_ / gc_pass_mu_
-  //     -> PartitionState::pack_mu / ImrsGc shard locks.
+  //   ilm_tick_mu_ / gc_pass_mu_ -> PartitionState::pack_mu / ImrsGc shard
+  //   locks.
   //
-  // background_rw_ is the coarse quiescence gate: ILM ticks and GC passes
-  // hold it shared (so pack and GC pipeline concurrently, with row-level
-  // kRowReclaimBusy claims arbitrating shared rows), while the invariant
-  // checker and checkpoints take it exclusive to see a stable world — the
-  // validator walks raw row pointers and must exclude concurrent
-  // purge/pack frees. ilm_tick_mu_ serializes ticks against each other
-  // (the tuner and pack backoff state are driver-thread-only) and
-  // gc_pass_mu_ does the same for GC passes; both keep
-  // RunIlmTickOnce/RunGcOnce safe to call while background threads run.
-  mutable RwSpinLock background_rw_{LockRank::kBackgroundQuiesce,
-                                    "engine.background_rw"};
+  // Pack (inside ILM ticks) and GC passes pipeline concurrently, with
+  // row-level kRowReclaimBusy claims arbitrating shared rows.
+  // ilm_tick_mu_ serializes ticks against each other (the tuner and pack
+  // backoff state are driver-thread-only) and gc_pass_mu_ does the same
+  // for GC passes; both keep RunIlmTickOnce/RunGcOnce safe to call while
+  // background threads run, and holding both excludes every purge/pack
+  // free the invariant checker's raw-pointer walk must not race.
   // Serialization-only mutexes (tick-vs-tick, pass-vs-pass); no state of
   // their own is guarded by them, hence no BTRIM_GUARDED_BY users.
   Mutex ilm_tick_mu_{LockRank::kIlmTick, "engine.ilm_tick"};
@@ -519,7 +513,7 @@ class Database : public PackClient {
 
   // Overlapped checkpoint (checkpoint.cc; DESIGN.md Sec. 14). checkpoint_mu_
   // admits one checkpointer at a time and ranks outermost because the
-  // checkpointer takes background_rw_ shared (and much else) under it.
+  // checkpointer takes RID-map stripes, log and page locks under it.
   Mutex checkpoint_mu_{LockRank::kCheckpointGate, "engine.checkpoint_gate"};
   struct CheckpointState {
     /// A checkpoint is between its begin barrier and its stash drain.

@@ -15,12 +15,11 @@
 //                       queue in the kSingleGlobal ablation mode)
 //   partition gauges <-> sum of fragment footprints / live-row counts
 //
-// Locking: ValidateLocked requires background_rw_ SHARED plus ilm_tick_mu_
-// and gc_pass_mu_. Holding the two pass mutexes excludes exactly the
-// mutators that would break a walk — pack cycles (inside ILM ticks) and GC
-// passes — without quiescing the whole engine the way the old exclusive
-// background_rw_ hold did, so an overlapped checkpoint (shared
-// background_rw_) and validation can coexist. Every structure the checker
+// Locking: ValidateLocked requires ilm_tick_mu_ and gc_pass_mu_. Holding
+// the two pass mutexes excludes exactly the mutators that would break a
+// walk — pack cycles (inside ILM ticks) and GC passes — without quiescing
+// the whole engine, so an overlapped checkpoint and validation can
+// coexist. Every structure the checker
 // dereferences stays valid under those two mutexes alone: rows and versions
 // freed by foreground aborts go through gc_->DeferFree, and the deferred
 // list drains only inside GC passes, which we exclude.
@@ -370,11 +369,9 @@ Status Database::ValidateLocked(ValidateReport* report, bool tolerant) {
 }
 
 Status Database::ValidateInvariants(ValidateReport* report) {
-  // Shared (not exclusive) hold: an overlapped checkpoint also runs under a
-  // shared background_rw_ hold, so validation no longer serializes against
-  // it. The two pass mutexes exclude pack cycles and GC passes; the gate
-  // pause drains foreground transactions for the strict checks.
-  RwSpinLockReadGuard background(background_rw_);
+  // The two pass mutexes exclude pack cycles and GC passes; the gate pause
+  // drains foreground transactions for the strict checks. An overlapped
+  // checkpoint takes neither, so validation does not serialize against it.
   MutexGuard tick(ilm_tick_mu_);
   MutexGuard pass(gc_pass_mu_);
   if (!txn_manager_.PauseNewTransactions(/*wait_ms=*/1000)) {
@@ -394,21 +391,15 @@ void Database::ParanoidValidate() BTRIM_NO_THREAD_SAFETY_ANALYSIS {
   // already running, and — unlike the old implementation — never pauses
   // the transaction gate, so paranoid CI builds no longer serialize the
   // foreground every pack cycle.
-  if (!background_rw_.try_lock_shared()) return;
-  if (!ilm_tick_mu_.try_lock()) {
-    background_rw_.unlock_shared();
-    return;
-  }
+  if (!ilm_tick_mu_.try_lock()) return;
   if (!gc_pass_mu_.try_lock()) {
     ilm_tick_mu_.unlock();
-    background_rw_.unlock_shared();
     return;
   }
   ValidateReport report;
   const Status s = ValidateLocked(&report, /*tolerant=*/true);
   gc_pass_mu_.unlock();
   ilm_tick_mu_.unlock();
-  background_rw_.unlock_shared();
   if (!s.ok()) {
     std::fprintf(stderr,
                  "[btrim] BTRIM_PARANOID_CHECKS: invariant violation after "

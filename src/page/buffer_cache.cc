@@ -20,8 +20,8 @@ uint64_t Mix64(uint64_t x) {
 }
 
 // Largest power of two <= min(16, num_frames/16): enough shards to spread
-// foreground fixers, never so many that a shard's LRU becomes too small a
-// sample (>= 16 frames each).
+// foreground fixers, never so many that a shard's CLOCK sweeps too few
+// frames (>= 16 each).
 size_t PickShardCount(size_t num_frames) {
   size_t limit = num_frames / 16;
   if (limit > 16) limit = 16;
@@ -70,18 +70,19 @@ BufferCache::BufferCache(size_t num_frames)
   for (size_t s = 0; s < n; ++s) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  // Round-robin frame ownership: every shard gets an equal slice, and
-  // low-numbered frames are handed out first within each shard.
-  for (size_t i = 0; i < num_frames; ++i) {
-    const size_t frame = num_frames - 1 - i;
-    Shard& s = *shards_[frame % n];
-    meta_[frame].home_shard = static_cast<uint16_t>(frame % n);
-    s.free_frames.push_back(frame);
+  // Round-robin frame ownership: every shard gets an equal slice, and each
+  // hand starts at its shard's lowest-numbered frame.
+  for (size_t frame = 0; frame < num_frames; ++frame) {
+    shards_[frame % n]->frames.push_back(frame);
   }
 }
 
 BufferCache::Shard& BufferCache::ShardFor(PageId pid) const {
   return *shards_[Mix64(pid.Encode()) & (shards_.size() - 1)];
+}
+
+BufferCache::Shard& BufferCache::HomeShard(size_t frame) const {
+  return *shards_[frame & (shards_.size() - 1)];
 }
 
 BufferCache::~BufferCache() = default;
@@ -126,12 +127,8 @@ Result<PageGuard> BufferCache::FixPage(PageId pid, LatchMode mode)
         if (!counted_miss) hits_.Inc();
         frame = it->second;
         FrameMeta& m = meta_[frame];
-        m.pin_count++;
-        if (m.in_lru) {
-          sh.lru.erase(m.lru_pos);
-          sh.lru.push_front(frame);
-          m.lru_pos = sh.lru.begin();
-        }
+        m.pin_count.fetch_add(1, std::memory_order_relaxed);
+        m.referenced = true;
         needs_read = false;
         break;
       }
@@ -139,43 +136,48 @@ Result<PageGuard> BufferCache::FixPage(PageId pid, LatchMode mode)
         misses_.Inc();
         counted_miss = true;
       }
-      if (!sh.free_frames.empty()) {
-        frame = sh.free_frames.back();
-        sh.free_frames.pop_back();
-      } else {
-        // Walk from the LRU end; the first unpinned frame wins. A clean
-        // victim is evicted in place; a dirty one is pinned for write-back.
-        bool found = false;
-        for (auto vit = sh.lru.rbegin(); vit != sh.lru.rend(); ++vit) {
-          const size_t f = *vit;
-          FrameMeta& m = meta_[f];
-          if (m.pin_count != 0) continue;
+      // CLOCK sweep: an invalid frame is taken at once, a referenced one
+      // loses its bit, and the first unpinned, unreferenced frame is the
+      // victim — evicted in place if clean, pinned for write-back if dirty.
+      // The hand stays on a dirty victim so the retry looks at it first.
+      bool found = false;
+      for (size_t step = 0; step < 2 * sh.frames.size() && !found; ++step) {
+        const size_t f = sh.frames[sh.hand];
+        FrameMeta& m = meta_[f];
+        if (!m.valid) {
+          frame = f;
+          found = true;
+        } else if (m.referenced) {
+          m.referenced = false;
+        } else if (m.pin_count.load(std::memory_order_acquire) == 0) {
+          found = true;
           if (m.dirty.load(std::memory_order_relaxed)) {
-            m.pin_count++;  // keeps it resident while we write it back
+            // Keeps it resident while we write it back.
+            m.pin_count.fetch_add(1, std::memory_order_relaxed);
             victim = f;
             writeback = true;
-          } else {
-            sh.table.erase(m.pid.Encode());
-            sh.lru.erase(std::next(vit).base());
-            m.in_lru = false;
-            m.valid = false;
-            evictions_.Inc();
-            frame = f;
+            break;
           }
-          found = true;
-          break;
+          sh.table.erase(m.pid.Encode());
+          m.valid = false;
+          evictions_.Inc();
+          frame = f;
         }
-        if (!found) {
-          fix_failures_.Inc();
-          return Status::Busy("buffer cache: all frames pinned");
-        }
+        sh.hand = (sh.hand + 1) % sh.frames.size();
+      }
+      if (!found) {
+        fix_failures_.Inc();
+        return Status::Busy("buffer cache: all frames pinned");
       }
       if (!writeback) {
         FrameMeta& m = meta_[frame];
         m.pid = pid;
         m.valid = true;
+        // Unreferenced until its first hit, so pages a scan touches once
+        // go before pages that are fixed again.
+        m.referenced = false;
         m.dirty.store(false, std::memory_order_relaxed);
-        m.pin_count = 1;
+        m.pin_count.fetch_add(1, std::memory_order_relaxed);
         // Take the frame's exclusive latch *before* publishing the table
         // entry, so concurrent fixers of the same page block until the device
         // read below has filled the frame. The latch is guaranteed free here:
@@ -185,41 +187,21 @@ Result<PageGuard> BufferCache::FixPage(PageId pid, LatchMode mode)
         assert(latched);
         (void)latched;
         sh.table[pid.Encode()] = frame;
-        sh.lru.push_front(frame);
-        m.lru_pos = sh.lru.begin();
-        m.in_lru = true;
         needs_read = true;
         break;
       }
     }
 
-    // Dirty-victim write-back, shard unlocked. Latch shared so a concurrent
-    // writer cannot give us a torn image; clear the dirty flag inside the
-    // latched region (same protocol as FlushAll) so a redirtying since our
-    // write is never swallowed.
-    FrameMeta& vm = meta_[victim];
-    Device* dev = devices_[vm.pid.file_id];
-    assert(dev != nullptr);
-    vm.latch.lock_shared();
-    Status ws = dev->WritePage(vm.pid.page_no,
-                               arena_.get() + victim * kPageSize);
-    if (ws.ok()) vm.dirty.store(false, std::memory_order_relaxed);
-    vm.latch.unlock_shared();
-    {
-      MutexGuard guard(sh.mu);
-      assert(vm.pin_count > 0);
-      vm.pin_count--;
-    }
+    // Dirty-victim write-back, shard unlocked.
+    Status ws = WriteBackPinned(victim);
     if (!ws.ok()) {
       // Keep the victim resident and dirty: its image is still the only
       // copy of the data, and a later flush retries the write. Surfacing
       // the device error (instead of pretending the cache is full) is
       // what lets callers distinguish EIO from pin pressure.
-      write_failures_.Inc();
       fix_failures_.Inc();
       return ws;
     }
-    dirty_writes_.Inc();
     // Retry: the victim is now clean (unless re-dirtied) and the next pass
     // evicts it — or whatever the map looks like by then.
   }
@@ -239,8 +221,7 @@ Result<PageGuard> BufferCache::FixPage(PageId pid, LatchMode mode)
       // dangling frame; only this caller sees the error.
       memset(data, 0, kPageSize);
       m.latch.unlock();
-      MutexGuard guard(sh.mu);
-      m.pin_count--;
+      Unpin(m);
       return s;
     }
     if (mode == LatchMode::kExclusive) {
@@ -279,9 +260,36 @@ void BufferCache::Unfix(size_t frame, LatchMode mode)
   } else {
     m.latch.unlock_shared();
   }
-  MutexGuard guard(shards_[m.home_shard]->mu);
-  assert(m.pin_count > 0);
-  m.pin_count--;
+  Unpin(m);
+}
+
+void BufferCache::Unpin(FrameMeta& m) {
+  // Release pairs with eviction's acquire load of a zero count, so all this
+  // holder did to the frame happens before the frame is reused.
+  const uint32_t prev = m.pin_count.fetch_sub(1, std::memory_order_release);
+  assert(prev > 0);
+  (void)prev;
+}
+
+Status BufferCache::WriteBackPinned(size_t frame) {
+  FrameMeta& m = meta_[frame];
+  Device* dev = devices_[m.pid.file_id];
+  assert(dev != nullptr);
+  // Latch shared so a concurrent writer cannot give us a torn image. The
+  // dirty flag must be cleared inside the latched region: writers set it
+  // under the exclusive latch, so clearing it after unlatching could
+  // swallow a redirtying that happened since our write.
+  m.latch.lock_shared();
+  Status s = dev->WritePage(m.pid.page_no, arena_.get() + frame * kPageSize);
+  if (s.ok()) m.dirty.store(false, std::memory_order_relaxed);
+  m.latch.unlock_shared();
+  Unpin(m);
+  if (s.ok()) {
+    dirty_writes_.Inc();
+  } else {
+    write_failures_.Inc();
+  }
+  return s;
 }
 
 void BufferCache::MarkFrameDirty(size_t frame) {
@@ -297,32 +305,13 @@ Status BufferCache::FlushAll() {
   // with us); the lock-order validator caught exactly that inversion here.
   for (size_t i = 0; i < num_frames_; ++i) {
     FrameMeta& m = meta_[i];
-    Mutex& mu = shards_[m.home_shard]->mu;
     {
-      MutexGuard guard(mu);
+      MutexGuard guard(HomeShard(i).mu);
       if (!m.valid || !m.dirty.load(std::memory_order_relaxed)) continue;
-      m.pin_count++;  // keeps the frame resident while we write it back
+      // Keeps the frame resident while we write it back.
+      m.pin_count.fetch_add(1, std::memory_order_relaxed);
     }
-    Device* dev = devices_[m.pid.file_id];
-    assert(dev != nullptr);
-    // Latch shared so a concurrent writer cannot give us a torn image. The
-    // dirty flag must be cleared inside the latched region: writers set it
-    // under the exclusive latch, so clearing it after unlatching could
-    // swallow a redirtying that happened since our write.
-    m.latch.lock_shared();
-    Status s = dev->WritePage(m.pid.page_no, arena_.get() + i * kPageSize);
-    if (s.ok()) m.dirty.store(false, std::memory_order_relaxed);
-    m.latch.unlock_shared();
-    {
-      MutexGuard guard(mu);
-      assert(m.pin_count > 0);
-      m.pin_count--;
-    }
-    if (!s.ok()) {
-      write_failures_.Inc();
-      return s;
-    }
-    dirty_writes_.Inc();
+    BTRIM_RETURN_IF_ERROR(WriteBackPinned(i));
   }
   return Status::OK();
 }
@@ -331,19 +320,14 @@ Status BufferCache::DropAll() {
   BTRIM_RETURN_IF_ERROR(FlushAll());
   for (size_t i = 0; i < num_frames_; ++i) {
     FrameMeta& m = meta_[i];
-    Shard& sh = *shards_[m.home_shard];
+    Shard& sh = HomeShard(i);
     MutexGuard guard(sh.mu);
     if (!m.valid) continue;
-    if (m.pin_count != 0) {
+    if (m.pin_count.load(std::memory_order_acquire) != 0) {
       return Status::Busy("DropAll with pinned pages");
     }
     sh.table.erase(m.pid.Encode());
-    if (m.in_lru) {
-      sh.lru.erase(m.lru_pos);
-      m.in_lru = false;
-    }
     m.valid = false;
-    sh.free_frames.push_back(i);
   }
   return Status::OK();
 }

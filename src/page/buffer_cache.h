@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -87,13 +86,15 @@ class PageGuard {
 ///
 /// The page map is sharded: frames are partitioned round-robin across
 /// shards at construction, a page id hashes to its home shard, and every
-/// map operation (hit lookup, LRU touch, eviction, pin bookkeeping) takes
-/// only that shard's mutex. Replacement is strict LRU *within* a shard —
-/// with frames spread round-robin and page ids hashed, per-shard LRU is a
-/// faithful sample of global LRU — and dirty victims are written back with
-/// the shard unlocked. A shard whose frames are all pinned reports Busy
-/// even if other shards have room; sizing keeps >= 16 frames per shard so
-/// this matches the single-map behavior in practice.
+/// map operation (hit lookup, eviction, pin) takes only that shard's mutex.
+/// Replacement is CLOCK (second chance) *within* a shard: a hit sets the
+/// frame's reference bit, and a miss sweeps the shard's hand over the
+/// frames it owns — an invalid frame is taken at once, a referenced frame
+/// loses its bit, and the first unpinned, unreferenced frame is the victim.
+/// Dirty victims are written back with the shard unlocked. A shard whose
+/// frames stay pinned for two laps of the hand reports Busy even if other
+/// shards have room; sizing keeps >= 16 frames per shard so this matches
+/// the single-map behavior in practice.
 ///
 /// Per-frame reader-writer latches protect page images. Failed first
 /// attempts at latch acquisition are counted as contention events, both
@@ -139,19 +140,21 @@ class BufferCache {
  private:
   friend class PageGuard;
 
-  // All fields except `dirty` and `latch` are guarded by the owning shard's
-  // mu (home_shard is immutable after construction); a nested struct cannot
-  // spell BTRIM_GUARDED_BY on an outer-class member, so the contract is
-  // documented here and enforced at the access sites.
+  // `pid`, `valid` and `referenced` are guarded by the home shard's mu
+  // (frame % num_shards); a nested struct cannot spell BTRIM_GUARDED_BY on
+  // an outer-class member, so the contract is documented here and enforced
+  // at the access sites.
   struct FrameMeta {
-    PageId pid{};            // guarded by shard mu
-    bool valid = false;      // guarded by shard mu
+    PageId pid{};             // guarded by shard mu
+    bool valid = false;       // guarded by shard mu
+    bool referenced = false;  // CLOCK bit; guarded by shard mu
     std::atomic<bool> dirty{false};
-    uint32_t pin_count = 0;  // guarded by shard mu
+    // Raised only under the shard mu (hit, load, dirty-victim and FlushAll
+    // pins); dropped without it (Unfix, after a write-back, after a failed
+    // read). So a zero read with acquire ordering under the mu stays zero
+    // until the mu is released, and eviction may take that frame.
+    std::atomic<uint32_t> pin_count{0};
     RwSpinLock latch{LockRank::kPageFrame, "page.frame"};
-    std::list<size_t>::iterator lru_pos;  // guarded by shard mu
-    bool in_lru = false;                  // guarded by shard mu
-    uint16_t home_shard = 0;              // immutable after construction
   };
 
   // Shard mutexes share rank kBufferMap; no code path holds two shards at
@@ -160,13 +163,17 @@ class BufferCache {
     mutable Mutex mu{LockRank::kBufferMap, "page.buffer_map"};
     // PageId.Encode() -> frame
     std::unordered_map<uint64_t, size_t> table BTRIM_GUARDED_BY(mu);
-    // front = MRU, back = LRU
-    std::list<size_t> lru BTRIM_GUARDED_BY(mu);
-    std::vector<size_t> free_frames BTRIM_GUARDED_BY(mu);
+    std::vector<size_t> frames;  // owned frames; immutable after construction
+    size_t hand BTRIM_GUARDED_BY(mu) = 0;  // CLOCK position in `frames`
   };
 
   Shard& ShardFor(PageId pid) const;
+  Shard& HomeShard(size_t frame) const;
 
+  static void Unpin(FrameMeta& m);
+  // Writes a frame the caller pinned back to its device with the shard
+  // unlocked, then drops that pin.
+  Status WriteBackPinned(size_t frame);
   void Unfix(size_t frame, LatchMode mode);
   void MarkFrameDirty(size_t frame);
 

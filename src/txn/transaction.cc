@@ -1,5 +1,6 @@
 #include "txn/transaction.h"
 
+#include <cassert>
 #include <chrono>
 
 #include "obs/metrics_registry.h"
@@ -24,31 +25,18 @@ Status Transaction::TryAcquireLock(uint64_t lock_id, LockMode mode) {
 }
 
 TransactionManager::TransactionManager(LockManager* lock_manager)
-    : lock_manager_(lock_manager) {
-  for (auto& slot : pinned_snapshots_) {
-    slot.store(UINT64_MAX, std::memory_order_relaxed);
-  }
+    : lock_manager_(lock_manager) {}
+
+void TransactionManager::PinSnapshot(uint64_t ts) {
+  assert(pinned_snapshot_.load(std::memory_order_relaxed) == UINT64_MAX);
+  pinned_snapshot_.store(ts, std::memory_order_release);
 }
 
-int TransactionManager::PinSnapshot(uint64_t ts) {
-  for (size_t i = 0; i < kSnapshotPinSlots; ++i) {
-    uint64_t expected = UINT64_MAX;
-    if (pinned_snapshots_[i].compare_exchange_strong(
-            expected, ts, std::memory_order_acq_rel)) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-void TransactionManager::UnpinSnapshot(int slot) {
-  if (slot < 0) return;
-  pinned_snapshots_[static_cast<size_t>(slot)].store(
-      UINT64_MAX, std::memory_order_release);
+void TransactionManager::UnpinSnapshot() {
+  pinned_snapshot_.store(UINT64_MAX, std::memory_order_release);
 }
 
 std::unique_ptr<Transaction> TransactionManager::Begin() {
-  begun_.Inc();
   const uint64_t id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   ActiveShard& shard = ShardFor(id);
   uint64_t begin_ts;
@@ -70,6 +58,9 @@ std::unique_ptr<Transaction> TransactionManager::Begin() {
     }
     gate_cv_.NotifyAll();
   }
+  // Counted only once registered: the invariant checker reads begun, then
+  // the active set, and must not see a transaction in neither.
+  begun_.Inc();
   return std::unique_ptr<Transaction>(new Transaction(this, id, begin_ts));
 }
 
@@ -196,13 +187,11 @@ uint64_t TransactionManager::OldestActiveSnapshot() const {
       if (begin_ts < oldest) oldest = begin_ts;
     }
   }
-  // Snapshot pins clamp the horizon exactly like an active transaction at
-  // that timestamp. Pinners read the clock before publishing, so any pin a
-  // load here misses took its snapshot after our initial clock read.
-  for (const auto& slot : pinned_snapshots_) {
-    const uint64_t pinned = slot.load(std::memory_order_acquire);
-    if (pinned < oldest) oldest = pinned;
-  }
+  // The snapshot pin clamps the horizon exactly like an active transaction
+  // at that timestamp. The pinner reads the clock before publishing, so a
+  // pin this load misses took its snapshot after our initial clock read.
+  const uint64_t pinned = pinned_snapshot_.load(std::memory_order_acquire);
+  if (pinned < oldest) oldest = pinned;
   return oldest;
 }
 

@@ -132,28 +132,23 @@ class TransactionManager {
 
   /// Oldest snapshot that any active transaction may still read; versions
   /// with commit_ts <= horizon and a newer committed successor are garbage.
-  /// Pinned snapshots (see PinSnapshot) clamp the result the same way an
+  /// A pinned snapshot (see PinSnapshot) clamps the result the same way an
   /// active transaction at that timestamp would.
   uint64_t OldestActiveSnapshot() const;
 
   /// --- snapshot pins (overlapped checkpoint) -------------------------------
 
   /// Pins `ts` into the GC horizon without registering a transaction:
-  /// OldestActiveSnapshot() will not exceed `ts` until the pin is released.
+  /// OldestActiveSnapshot() will not exceed `ts` until UnpinSnapshot().
   /// The checkpointer pins its snapshot epoch so GC trimming, ILM purge, and
   /// the deferred-free grace list all keep snapshot-era versions (and the
   /// rows holding them) alive while the snapshot walk and persist proceed.
-  /// Lock-free: claims one of a small fixed set of slots. Returns the slot
-  /// index, or -1 if all slots are taken (callers then fall back to
-  /// serializing on their own gate; Database::checkpoint_mu_ makes this
-  /// unreachable for checkpoints).
-  int PinSnapshot(uint64_t ts);
+  /// One pin at a time: its only caller, Database::Checkpoint, is
+  /// serialized by checkpoint_mu_.
+  void PinSnapshot(uint64_t ts);
 
-  /// Releases a pin returned by PinSnapshot.
-  void UnpinSnapshot(int slot);
-
-  /// Number of concurrent snapshot pins supported.
-  static constexpr size_t kSnapshotPinSlots = 4;
+  /// Releases the pin set by PinSnapshot.
+  void UnpinSnapshot();
 
   /// The database commit clock (shared with ILM components which express
   /// row-age in commit-timestamp units).
@@ -240,13 +235,13 @@ class TransactionManager {
   mutable Mutex gate_mu_{LockRank::kTxnGate, "txn.gate"};
   CondVar gate_cv_;
 
-  // Snapshot pins. UINT64_MAX marks a free slot; PinSnapshot CAS-claims one.
-  // acq_rel on the claim pairs with the acquire loads in
-  // OldestActiveSnapshot(): a horizon reader either sees the pin (and clamps)
-  // or the pinner's clock read happened before the reader's, keeping the
-  // horizon conservative either way (the pinner reads the clock before
-  // publishing the pin, mirroring the Begin()/shard-scan ordering above).
-  std::atomic<uint64_t> pinned_snapshots_[kSnapshotPinSlots];
+  // Snapshot pin; UINT64_MAX when unpinned. The release store pairs with
+  // the acquire load in OldestActiveSnapshot(): a horizon reader either sees
+  // the pin (and clamps) or the pinner's clock read happened before the
+  // reader's, keeping the horizon conservative either way (the pinner reads
+  // the clock before publishing the pin, mirroring the Begin()/shard-scan
+  // ordering above).
+  std::atomic<uint64_t> pinned_snapshot_{UINT64_MAX};
 
   mutable ShardedCounter begun_, committed_, aborted_;
 };

@@ -1,6 +1,8 @@
 // Unit tests for the page store: slotted pages, devices, the buffer cache,
 // and heap files.
 
+#include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <thread>
 #include <vector>
@@ -369,6 +371,84 @@ TEST_F(BufferCacheTest, ConcurrentMixedTraffic) {
   }
   for (auto& t : threads) t.join();
   EXPECT_FALSE(failed.load());
+}
+
+// Every page carries its own id and a write counter. Exclusive fixers bump
+// the counter (mirrored in `expected`); every fixer checks both, at the
+// start of its hold and again after each of 16 yields. A frame evicted
+// while pinned shows up as a foreign stamp, and a dirty victim evicted
+// without its write-back as a counter that went back in time.
+TEST_F(BufferCacheTest, ConcurrentFixesKeepTheirOwnPage) {
+  constexpr int kThreads = 4;
+  constexpr uint32_t kPages = 64;
+  struct Stamp {
+    uint32_t page;
+    uint64_t counter;
+  };
+  MemDevice dev;
+  for (uint32_t p = 0; p < kPages; ++p) {
+    char image[kPageSize] = {};
+    const Stamp st{p, 0};
+    memcpy(image, &st, sizeof(st));
+    ASSERT_TRUE(dev.WritePage(p, image).ok());
+  }
+  BufferCache cache(16);
+  cache.AttachDevice(1, &dev);
+  std::vector<std::atomic<uint64_t>> expected(kPages);
+  std::atomic<int> failures{0};
+  auto check = [&](const PageGuard& g, uint32_t page) {
+    Stamp st;
+    memcpy(&st, g.data(), sizeof(st));
+    if (st.page != page || st.counter != expected[page].load()) {
+      failures.fetch_add(1);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Random rng(static_cast<uint64_t>(t) + 7);
+      // Stop at the first failure: a frame stolen from its pinner also
+      // breaks its latch, and further fixes could spin on it for good.
+      for (int i = 0; i < 5000 && failures.load() == 0; ++i) {
+        const uint32_t page = static_cast<uint32_t>(rng.Uniform(kPages));
+        const bool write = rng.Uniform(2) == 0;
+        Result<PageGuard> g = cache.FixPage(
+            {1, page}, write ? LatchMode::kExclusive : LatchMode::kShared);
+        if (!g.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        check(*g, page);
+        if (write) {
+          const Stamp st{page, expected[page].load() + 1};
+          memcpy(g->data(), &st, sizeof(st));
+          expected[page].store(st.counter);
+          g->MarkDirty();
+        }
+        for (int y = 0; y < 16; ++y) {
+          std::this_thread::yield();
+          check(*g, page);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(MetricReader(cache).Value("buffer_cache.evictions"), 0);
+}
+
+// A page fixed between every miss of a scan over four times the cache
+// stays resident: the scan's pages are what gets replaced.
+TEST_F(BufferCacheTest, HotPageSurvivesASequentialScan) {
+  const PageId hot{1, 1000};
+  ASSERT_TRUE(cache_.FixPage(hot, LatchMode::kShared).ok());
+  for (uint32_t p = 0; p < 32; ++p) {
+    ASSERT_TRUE(cache_.FixPage({1, p}, LatchMode::kShared).ok());
+    ASSERT_TRUE(cache_.FixPage(hot, LatchMode::kShared).ok());
+  }
+  EXPECT_EQ(stats_.Value("buffer_cache.misses"), 1 + 32);
+  EXPECT_EQ(stats_.Value("buffer_cache.hits"), 32);
 }
 
 // --- HeapFile ----------------------------------------------------------------------
